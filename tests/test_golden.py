@@ -1,0 +1,112 @@
+"""Golden digests: the solver's output and case counters, pinned.
+
+Each corpus is solved end to end; the sha256 of the concatenated
+coloring files and the summed ``SolveStats`` must match the values below
+exactly.  A refactor that claims "same behaviour" has to leave them
+unchanged; a change that alters colorings on purpose must update them
+and say why.
+"""
+
+import hashlib
+
+import strongcolor as sc
+from strongcolor import SolveStats, fileio
+from strongcolor.generate import SplitMix64
+
+from test_acceptance import _criterion3_instances
+
+
+def _digest(chunks) -> str:
+    h = hashlib.sha256()
+    for text in chunks:
+        h.update(text.encode())
+    return h.hexdigest()
+
+
+def _generalized_petersen(n: int, k: int) -> sc.Multigraph:
+    outer = [(i, (i + 1) % n) for i in range(n)]
+    spokes = [(i, n + i) for i in range(n)]
+    inner = [(n + i, n + (i + k) % n) for i in range(n)]
+    return sc.build_multigraph(2 * n, outer + spokes + inner)
+
+
+def _extension_corpus(count: int = 1500):
+    """Subdivided small cubic graphs with 6-lists from palettes of 6-8.
+
+    Unlike criterion 2, every instance keeps a (2,3)-biregular core, so
+    the 4-, 6- and long-cycle extensions, both path procedures and the
+    rainbow steps all run on non-uniform lists.
+    """
+    rng = SplitMix64(20261017)
+    for i in range(count):
+        if i % 2 == 0:
+            mg = sc.random_cubic(4 + 2 * rng.below(14), rng.next_u64())
+        else:
+            mg = _generalized_petersen(5 + rng.below(12), 2 + rng.below(2))
+        b = sc.subdivide(mg).bipartite
+        palette = 6 + rng.below(3)
+        yield b, sc.random_lists(range(b.graph.edge_count), 6, palette, rng.next_u64())
+
+
+def test_golden_criterion3_corpus():
+    total = SolveStats()
+    chunks = []
+    for n, seed in _criterion3_instances():
+        g = sc.random_cubic(n, seed)
+        coloring, stats = sc.color_incidence(g, sc.uniform_incidence_lists(g, 6))
+        chunks.append(fileio.coloring_to_text(coloring, "incidence"))
+        total.merge(stats)
+    assert _digest(chunks) == (
+        "100783fce075465b564ef2efc825ba7f958dc8203b197432274dc5cf6ca39779"
+    )
+    assert total.as_dict() == {
+        "peeled_edges": 75798,
+        "c4_extensions": 318,
+        "c6_extensions": 133,
+        "long_cycle_extensions": 49,
+        "k23_base_cases": 3,
+        "fallback_uses": 0,
+        "sdr_calls": 12,
+    }
+
+
+def test_golden_criterion7_instance():
+    g = sc.random_cubic(5000, 424242)
+    coloring, stats = sc.color_incidence(g, sc.uniform_incidence_lists(g, 6))
+    assert _digest([fileio.coloring_to_text(coloring, "incidence")]) == (
+        "354d66d6239da680928a6968e4799ab95b664a5548fd150be385f971e29fbb58"
+    )
+    assert stats.as_dict() == {
+        "peeled_edges": 14988,
+        "c4_extensions": 0,
+        "c6_extensions": 0,
+        "long_cycle_extensions": 1,
+        "k23_base_cases": 0,
+        "fallback_uses": 0,
+        "sdr_calls": 0,
+    }
+
+
+def test_golden_extension_corpus():
+    total = SolveStats()
+    chunks = []
+    for b, L in _extension_corpus():
+        pc, stats = sc.color_strong_23(b, L)
+        chunks.append(fileio.coloring_to_text(pc.assigned, "strong"))
+        total.merge(stats)
+    assert total.c4_extensions >= 1
+    assert total.c6_extensions >= 1
+    assert total.long_cycle_extensions >= 1
+    assert total.sdr_calls >= 1
+    assert _digest(chunks) == (
+        "3ddd93661819fdd4df2222369311e90fd0bb7726d5d70490c7b624513d1d82d9"
+    )
+    assert total.as_dict() == {
+        "peeled_edges": 69999,
+        "c4_extensions": 552,
+        "c6_extensions": 269,
+        "long_cycle_extensions": 678,
+        "k23_base_cases": 5,
+        "fallback_uses": 0,
+        "sdr_calls": 257,
+    }
