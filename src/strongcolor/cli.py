@@ -158,7 +158,10 @@ def _cmd_oracle(args) -> int:
         else:
             inc_lists = fileio.lists_from_text(fileio.read_text(args.lists), incidence=True)
         L = ListAssignment(
-            {eid: frozenset(inc_lists[inc]) for inc, eid in sub.incidence_to_edge.items()}
+            {
+                eid: frozenset(inc_lists.get(inc, ()))
+                for inc, eid in sub.incidence_to_edge.items()
+            }
         )
         coloring = backtrack_color(sub.bipartite, L, budget)
     if coloring is None:

@@ -196,7 +196,7 @@ def verify_incidence(
         if not 0 <= e < g.edge_count or v not in g.endpoints(e):
             out.append(Violation("list", (inc,), f"{inc} is not an incidence of the graph"))
             continue
-        if L is not None and c not in set(L[inc]):
+        if L is not None and c not in set(L.get(inc, ())):
             out.append(Violation("list", (inc,), f"color {c} not in list of {inc}"))
         for nb in sorted(_incidence_neighbors(g, inc)):
             if nb > inc and coloring.get(nb) == c:

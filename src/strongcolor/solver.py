@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .conflict import (
     ConflictGraph,
@@ -141,69 +141,25 @@ def greedy_unwind(
     cg: Optional[ConflictGraph] = None,
     stats: Optional[SolveStats] = None,
 ) -> PartialColoring:
-    """Pop deferred edges LIFO, assigning each the smallest available color.
+    """Pop the peel stack LIFO and color each entry.
 
-    Sound because every deferred edge had at most 5 conflicts in the
-    residual subgraph it was peeled from, and only those edges are colored
-    when it is popped.
+    A peeled edge takes its smallest available color: sound because every
+    peeled edge had at most 5 conflicts in the residual subgraph it was
+    peeled from, and only those edges are colored when it is popped.  A
+    carved ``CycleDescriptor`` goes to the extension for its length.
     """
     cg = cg or build_conflict_graph(b)
     while stack:
-        e = stack.pop()
-        avail = available(e, L, pc, cg)
+        item = stack.pop()
+        if isinstance(item, CycleDescriptor):
+            extend = {4: extend_c4, 6: extend_c6}.get(len(item), extend_long_cycle)
+            extend(b, L, pc, item, cg=cg, stats=stats)
+            continue
+        avail = available(item, L, pc, cg)
         if not avail:
-            raise InternalInvariant(f"peeled edge {e} has no available color at unwind")
-        pc.set(e, min(avail))
+            raise InternalInvariant(f"peeled edge {item} has no available color at unwind")
+        pc.set(item, min(avail))
     return pc
-
-
-# ---------------------------------------------------------------------------
-# role-keyed bookkeeping for the abstract path configurations
-
-
-class _RoleState:
-    """Available lists keyed by role with conflict propagation and an
-    assignment log.  Roles disappear from ``avail`` once assigned."""
-
-    def __init__(self, lists: Mapping, conflicts: Mapping):
-        self.avail = {r: set(cs) for r, cs in lists.items()}
-        self.conflicts = conflicts
-        self.order: list = []
-
-    def truncate(self, role, k: int) -> None:
-        cur = self.avail[role]
-        if len(cur) < k:
-            raise InternalInvariant(f"role {role} has {len(cur)} colors, needs {k}")
-        self.avail[role] = set(sorted(cur)[:k])
-
-    def assign(self, role, color: int) -> None:
-        if role not in self.avail or color not in self.avail[role]:
-            raise InternalInvariant(f"color {color} unavailable for role {role}")
-        del self.avail[role]
-        for f in self.conflicts[role]:
-            if f in self.avail:
-                self.avail[f].discard(color)
-        self.order.append((role, color))
-
-    def assign_min(self, role) -> None:
-        cur = self.avail.get(role)
-        if not cur:
-            raise InternalInvariant(f"role {role} ran out of colors in a greedy step")
-        self.assign(role, min(cur))
-
-    def common(self, r1, r2) -> set:
-        return self.avail[r1] & self.avail[r2]
-
-    def sdr(self, roles: Sequence, stats: Optional[SolveStats]) -> None:
-        if stats is not None:
-            stats.sdr_calls += 1
-        items = tuple(range(len(roles)))
-        lists = {i: frozenset(self.avail[r]) for i, r in enumerate(roles)}
-        chosen = rainbow_sdr(SdrProblem(items, lists))
-        if chosen is None:
-            raise InternalInvariant(f"rainbow choice missing for roles {list(roles)}")
-        for i, r in enumerate(roles):
-            self.assign(r, chosen[i])
 
 
 # ---------------------------------------------------------------------------
@@ -212,28 +168,19 @@ class _RoleState:
 
 _FIVE_ROLES = ("uv", "vw", "wx", "xy", "vz", "xt")
 _FIVE_SIZES = {"uv": 5, "vw": 5, "wx": 5, "xy": 5, "vz": 3, "xt": 3}
-_FIVE_CONFLICTS = {
-    "uv": ("vw", "wx", "vz"),
-    "vw": ("uv", "wx", "xy", "vz", "xt"),
-    "wx": ("uv", "vw", "xy", "vz", "xt"),
-    "xy": ("vw", "wx", "xt"),
-    "vz": ("uv", "vw", "wx"),
-    "xt": ("vw", "wx", "xy"),
-}
 
 
 @dataclass(frozen=True)
 class FivePathConfig:
-    """Path u-v-w-x-y plus pendants v-z and x-t, with color lists.
+    """Path u-v-w-x-y plus pendants v-z and x-t.
 
     ``edge_ids`` maps each role ("uv", "vw", "wx", "xy", "vz", "xt") to the
-    real edge id; ``lists`` maps edge ids to their current available colors
-    (sizes at least 5,5,5,5,3,3 in role order).
+    real edge id.  Entry lists must hold at least 5,5,5,5,3,3 available
+    colors in role order.
     """
 
     vertices: Tuple[int, ...]  # u, v, w, x, y, z, t
     edge_ids: Mapping[str, int]
-    lists: Mapping[int, FrozenSet[int]]
 
     def __post_init__(self):
         if len(set(self.vertices)) != 7:
@@ -241,94 +188,87 @@ class FivePathConfig:
         for role in _FIVE_ROLES:
             if role not in self.edge_ids:
                 raise ValueError(f"missing edge role {role}")
-            if len(self.lists[self.edge_ids[role]]) < _FIVE_SIZES[role]:
-                raise ListTooSmall(
-                    f"role {role} needs {_FIVE_SIZES[role]} colors, "
-                    f"got {len(self.lists[self.edge_ids[role]])}"
-                )
 
     @staticmethod
-    def standalone(lists_by_role: Mapping[str, Iterable[int]]) -> "FivePathConfig":
-        """Abstract instance on vertices 0..6 and edge ids 0..5, for direct tests."""
-        edge_ids = {role: i for i, role in enumerate(_FIVE_ROLES)}
-        lists = {edge_ids[r]: frozenset(lists_by_role[r]) for r in _FIVE_ROLES}
-        return FivePathConfig(tuple(range(7)), edge_ids, lists)
+    def standalone() -> "FivePathConfig":
+        """Standalone instance: vertices 0..6 and edge ids 0..5 in role order."""
+        return FivePathConfig(tuple(range(7)), {role: i for i, role in enumerate(_FIVE_ROLES)})
 
 
 def precolor_five_path(
-    cfg: FivePathConfig, stats: Optional[SolveStats] = None
-) -> List[Tuple[int, int]]:
-    """Color uv, vz, xy, xt so the middle edges keep |L(vw)| >= 3, |L(wx)| >= 2.
+    b: BipartiteGraph,
+    L: ListAssignment,
+    pc: PartialColoring,
+    cfg: FivePathConfig,
+    cg: Optional[ConflictGraph] = None,
+    stats: Optional[SolveStats] = None,
+) -> PartialColoring:
+    """Color uv, vz, xy, xt so the middle edges keep |L(vw)| >= 3, |L(wx)| >= 2."""
+    cg = cg or build_conflict_graph(b)
+    region = _path_region(L, pc, cg, {cfg.edge_ids[r]: k for r, k in _FIVE_SIZES.items()})
+    uv, vw, wx, xy, vz, xt = (cfg.edge_ids[r] for r in _FIVE_ROLES)
+    avail = region.avail
 
-    Returns the assignments in the order they must be applied.
-    """
-    state = _RoleState(
-        {r: cfg.lists[cfg.edge_ids[r]] for r in _FIVE_ROLES}, _FIVE_CONFLICTS
-    )
-    for role, k in _FIVE_SIZES.items():
-        state.truncate(role, k)
-
-    pend_common = state.common("vz", "xt")
+    pend_common = region.common(vz, xt)
     if pend_common:
         # same color on both pendants costs each middle edge one color
         alpha = min(pend_common)
-        state.assign("vz", alpha)
-        state.assign("xt", alpha)
-        end_common = state.common("uv", "xy")
+        region.assign(vz, alpha)
+        region.assign(xt, alpha)
+        end_common = region.common(uv, xy)
         if end_common:
             beta = min(end_common)
-            state.assign("uv", beta)
-            state.assign("xy", beta)
+            region.assign(uv, beta)
+            region.assign(xy, beta)
         else:
             # disjoint 4-lists: their union beats |L(vw)|, so one end edge
             # can be colored without touching vw at all
-            union = sorted((state.avail["uv"] | state.avail["xy"]) - state.avail["vw"])
+            union = sorted((avail[uv] | avail[xy]) - avail[vw])
             if not union:
                 raise InternalInvariant("pigeonhole failed on the end edges")
             gamma = union[0]
-            e3 = "uv" if gamma in state.avail["uv"] else "xy"
-            e4 = "xy" if e3 == "uv" else "uv"
-            state.assign(e3, gamma)
-            state.assign_min(e4)
+            e3 = uv if gamma in avail[uv] else xy
+            e4 = xy if e3 == uv else uv
+            region.assign(e3, gamma)
+            region.assign_min(e4)
     else:
         # pendant lists disjoint: their union has 6 colors, one avoids vw
-        union = sorted((state.avail["vz"] | state.avail["xt"]) - state.avail["vw"])
+        union = sorted((avail[vz] | avail[xt]) - avail[vw])
         if not union:
             raise InternalInvariant("pigeonhole failed on the pendant edges")
         alpha = union[0]
-        e1 = "vz" if alpha in state.avail["vz"] else "xt"
-        e2 = "xt" if e1 == "vz" else "vz"
-        state.assign(e1, alpha)
-        end_common = state.common("uv", "xy")
+        e1 = vz if alpha in avail[vz] else xt
+        e2 = xt if e1 == vz else vz
+        region.assign(e1, alpha)
+        end_common = region.common(uv, xy)
         if end_common:
             beta = min(end_common)
-            state.assign("uv", beta)
-            state.assign("xy", beta)
-            state.assign_min(e2)
+            region.assign(uv, beta)
+            region.assign(xy, beta)
+            region.assign_min(e2)
         else:
-            union2 = sorted((state.avail["uv"] | state.avail["xy"]) - state.avail["vw"])
+            union2 = sorted((avail[uv] | avail[xy]) - avail[vw])
             if not union2:
                 raise InternalInvariant("pigeonhole failed on the end edges")
             gamma = union2[0]
-            e3 = "uv" if gamma in state.avail["uv"] else "xy"
-            e4 = "xy" if e3 == "uv" else "uv"
-            state.assign(e3, gamma)
+            e3 = uv if gamma in avail[uv] else xy
+            e4 = xy if e3 == uv else uv
+            region.assign(e3, gamma)
             # e4 has >= 4 colors while wx has >= 3: some choice keeps wx at 3
             beta = next(
-                (c for c in sorted(state.avail[e4]) if len(state.avail["wx"] - {c}) >= 3),
+                (c for c in sorted(avail[e4]) if len(avail[wx] - {c}) >= 3),
                 None,
             )
             if beta is None:
                 raise InternalInvariant("pigeonhole failed protecting wx")
-            state.assign(e4, beta)
-            state.assign_min(e2)
+            region.assign(e4, beta)
+            region.assign_min(e2)
 
-    if len(state.avail["vw"]) < 3 or len(state.avail["wx"]) < 2:
+    if len(avail[vw]) < 3 or len(avail[wx]) < 2:
         raise InternalInvariant(
-            f"postcondition failed: |vw|={len(state.avail['vw'])}, "
-            f"|wx|={len(state.avail['wx'])}"
+            f"postcondition failed: |vw|={len(avail[vw])}, |wx|={len(avail[wx])}"
         )
-    return [(cfg.edge_ids[role], color) for role, color in state.order]
+    return pc
 
 
 # ---------------------------------------------------------------------------
@@ -351,32 +291,19 @@ def _odd_required_sizes(n: int) -> Dict[tuple, int]:
     return req
 
 
-def _odd_conflicts(n: int) -> Dict[tuple, tuple]:
-    con = {}
-    for i in range(1, n):
-        cs = [("p", j) for j in range(1, n) if j != i and abs(i - j) <= 2]
-        cs += [("q", j) for j in range(2, n, 2) if j - 2 <= i <= j + 1]
-        con[("p", i)] = tuple(cs)
-    for j in range(2, n, 2):
-        con[("q", j)] = tuple(("p", i) for i in range(1, n) if j - 2 <= i <= j + 1)
-    return con
-
-
 @dataclass(frozen=True)
 class OddPathConfig:
     """Path v_1..v_n (n odd >= 5) with a pendant at every even position.
 
     ``path_edges[i-1]`` joins v_i and v_{i+1}; ``pendant_edges[i]`` joins
-    v_i and its pendant neighbor.  ``lists`` maps edge ids to available
-    colors meeting the size table (3,2,4 at each end, 5 and 3 in the
-    middle).
+    v_i and its pendant neighbor.  Entry lists must meet the size table
+    (3,2,4 at each end, 5 and 3 in the middle).
     """
 
     path_vertices: Tuple[int, ...]
     pendant_vertices: Mapping[int, int]
     path_edges: Tuple[int, ...]
     pendant_edges: Mapping[int, int]
-    lists: Mapping[int, FrozenSet[int]]
 
     @property
     def n(self) -> int:
@@ -394,30 +321,19 @@ class OddPathConfig:
         names = list(self.path_vertices) + [self.pendant_vertices[j] for j in evens]
         if len(set(names)) != len(names):
             raise ValueError("configuration vertices must be distinct")
-        for (kind, i), size in _odd_required_sizes(n).items():
-            e = self.path_edges[i - 1] if kind == "p" else self.pendant_edges[i]
-            if len(self.lists[e]) < size:
-                raise ListTooSmall(
-                    f"edge {kind}{i} needs {size} colors, got {len(self.lists[e])}"
-                )
 
     def edge_for(self, role: tuple) -> int:
         kind, i = role
         return self.path_edges[i - 1] if kind == "p" else self.pendant_edges[i]
 
     @staticmethod
-    def standalone(n: int, lists_by_role: Mapping[tuple, Iterable[int]]) -> "OddPathConfig":
-        """Abstract instance for direct tests: vertices 0..n-1, pendants after."""
+    def standalone(n: int) -> "OddPathConfig":
+        """Standalone instance: path vertices and edges first, then pendants."""
         path_vertices = tuple(range(n))
         pendant_vertices = {j: n - 1 + j // 2 for j in range(2, n, 2)}
         path_edges = tuple(range(n - 1))
         pendant_edges = {j: n - 2 + j // 2 for j in range(2, n, 2)}
-        lists = {}
-        for role, cs in lists_by_role.items():
-            kind, i = role
-            e = path_edges[i - 1] if kind == "p" else pendant_edges[i]
-            lists[e] = frozenset(cs)
-        return OddPathConfig(path_vertices, pendant_vertices, path_edges, pendant_edges, lists)
+        return OddPathConfig(path_vertices, pendant_vertices, path_edges, pendant_edges)
 
 
 # Base-case pairing orders.  Each entry pairs two mutually compatible edges
@@ -438,78 +354,82 @@ _BASE_COMPLEMENT = {
 }
 
 
-def _odd_base(state: _RoleState, lo: int, shape: str, stats: Optional[SolveStats]) -> None:
+def _odd_base(region: _Region, cfg: OddPathConfig, lo: int, shape: str, stats) -> None:
     """Color the final five-vertex window (six edges)."""
     names = {
-        "a1": ("p", lo),
-        "m1": ("p", lo + 1),
-        "m2": ("p", lo + 2),
-        "a2": ("p", lo + 3),
-        "p1": ("q", lo + 1),
-        "p2": ("q", lo + 3),
+        "a1": cfg.edge_for(("p", lo)),
+        "m1": cfg.edge_for(("p", lo + 1)),
+        "m2": cfg.edge_for(("p", lo + 2)),
+        "a2": cfg.edge_for(("p", lo + 3)),
+        "p1": cfg.edge_for(("q", lo + 1)),
+        "p2": cfg.edge_for(("q", lo + 3)),
     }
     for e_name, f_name in _BASE_ORDERS[shape]:
         e, f = names[e_name], names[f_name]
-        shared = state.common(e, f)
+        shared = region.common(e, f)
         if shared:
             alpha = min(shared)
-            state.assign(e, alpha)
-            state.assign(f, alpha)
+            region.assign(e, alpha)
+            region.assign(f, alpha)
             o1, o2 = (names[r] for r in _BASE_COMPLEMENT[frozenset((e_name, f_name))])
-            shared2 = state.common(o1, o2)
+            shared2 = region.common(o1, o2)
             if shared2:
                 beta = min(shared2)
-                state.assign(o1, beta)
-                state.assign(o2, beta)
-                state.assign_min(names["m1"])
-                state.assign_min(names["m2"])
+                region.assign(o1, beta)
+                region.assign(o2, beta)
+                region.assign_min(names["m1"])
+                region.assign_min(names["m2"])
             else:
-                state.sdr((o1, o2, names["m1"], names["m2"]), stats)
+                region.sdr((o1, o2, names["m1"], names["m2"]), stats)
             return
     # every compatible pair has disjoint lists: a rainbow choice exists
-    state.sdr(tuple(names[r] for r in ("a1", "m1", "m2", "a2", "p1", "p2")), stats)
+    region.sdr(tuple(names[r] for r in ("a1", "m1", "m2", "a2", "p1", "p2")), stats)
 
 
-def _odd_reduce(state: _RoleState, lo: int, shape: str) -> None:
+def _odd_reduce(region: _Region, cfg: OddPathConfig, lo: int, shape: str) -> None:
     """Shrink the window by two vertices from the left end.
 
     The second path edge takes a color that leaves the next pendant with 3
     colors; then the end pendant and end edge are colored greedily (end
     edge first when the entry shape gives it only 2 colors).
     """
-    second = ("p", lo + 1)
-    protect = ("q", lo + 3)
+    second = cfg.edge_for(("p", lo + 1))
+    protect = cfg.edge_for(("q", lo + 3))
     alpha = next(
-        (c for c in sorted(state.avail[second]) if len(state.avail[protect] - {c}) >= 3),
+        (c for c in sorted(region.avail[second]) if len(region.avail[protect] - {c}) >= 3),
         None,
     )
     if alpha is None:
-        raise InternalInvariant(f"pigeonhole failed protecting {protect}")
-    state.assign(second, alpha)
+        raise InternalInvariant(f"pigeonhole failed protecting edge {protect}")
+    region.assign(second, alpha)
     if shape == "A":
-        state.assign_min(("q", lo + 1))
-        state.assign_min(("p", lo))
+        region.assign_min(cfg.edge_for(("q", lo + 1)))
+        region.assign_min(cfg.edge_for(("p", lo)))
     else:
-        state.assign_min(("p", lo))
-        state.assign_min(("q", lo + 1))
+        region.assign_min(cfg.edge_for(("p", lo)))
+        region.assign_min(cfg.edge_for(("q", lo + 1)))
 
 
 def color_odd_path(
-    cfg: OddPathConfig, stats: Optional[SolveStats] = None
-) -> List[Tuple[int, int]]:
-    """Totally color the configuration; returns assignments in apply order."""
+    b: BipartiteGraph,
+    L: ListAssignment,
+    pc: PartialColoring,
+    cfg: OddPathConfig,
+    cg: Optional[ConflictGraph] = None,
+    stats: Optional[SolveStats] = None,
+) -> PartialColoring:
+    """Totally color the configuration."""
+    cg = cg or build_conflict_graph(b)
     n = cfg.n
-    req = _odd_required_sizes(n)
-    state = _RoleState({r: cfg.lists[cfg.edge_for(r)] for r in req}, _odd_conflicts(n))
-    for role, k in req.items():
-        state.truncate(role, k)
+    sizes = {cfg.edge_for(r): k for r, k in _odd_required_sizes(n).items()}
+    region = _path_region(L, pc, cg, sizes)
     lo, shape = 1, "A"
     while n - lo + 1 > 5:
-        _odd_reduce(state, lo, shape)
+        _odd_reduce(region, cfg, lo, shape)
         lo += 2
         shape = "B"
-    _odd_base(state, lo, shape, stats)
-    return [(cfg.edge_for(role), color) for role, color in state.order]
+    _odd_base(region, cfg, lo, shape, stats)
+    return pc
 
 
 # ---------------------------------------------------------------------------
@@ -517,22 +437,18 @@ def color_odd_path(
 
 
 class _Region:
-    """Available-list bookkeeping for the uncolored edges of one extension.
+    """Available lists for the edges one extension or path procedure colors.
 
     Assignments are validated against and propagated through the real
-    conflict graph, so a mismatch between an abstract configuration and
-    the actual graph surfaces immediately instead of corrupting the
-    coloring.
+    conflict graph, so a mismatch between a configuration and the actual
+    graph surfaces immediately instead of corrupting the coloring.
     """
 
-    def __init__(self, b, L, pc, cg, edge_ids):
+    def __init__(self, L, pc, cg, edge_ids):
         self.pc = pc
         self.cg = cg
         self.edges = list(edge_ids)
-        self.avail = {}
-        for e in self.edges:
-            used = {pc.assigned[f] for f in cg[e] if f in pc.assigned}
-            self.avail[e] = set(L[e]) - used
+        self.avail = {e: available(e, L, pc, cg) for e in self.edges}
         self.order: list = []
 
     def truncate(self, e: int, k: int) -> None:
@@ -557,6 +473,9 @@ class _Region:
             raise InternalInvariant(f"edge {e} ran out of colors in a greedy step")
         self.assign(e, min(cur))
 
+    def common(self, e: int, f: int) -> set:
+        return self.avail[e] & self.avail[f]
+
     def sdr(self, edge_ids: Sequence[int], stats: Optional[SolveStats]) -> None:
         if stats is not None:
             stats.sdr_calls += 1
@@ -573,16 +492,23 @@ class _Region:
         self.order = []
 
 
-def _exhaustive_region(b, L, pc, cg, edge_ids) -> bool:
+def _path_region(L, pc, cg, sizes: Mapping[int, int]) -> _Region:
+    """Region over a path configuration's edges, truncated to their entry sizes."""
+    region = _Region(L, pc, cg, sizes)
+    for e, k in sizes.items():
+        if len(region.avail[e]) < k:
+            raise ListTooSmall(f"edge {e} needs {k} colors, got {len(region.avail[e])}")
+        region.truncate(e, k)
+    return region
+
+
+def _exhaustive_region(L, pc, cg, edge_ids) -> bool:
     """Depth-first search over a small region, colors ascending.
 
     Used only as a flagged fallback when an extension chain raises; works
     on the untruncated available lists for maximum slack.
     """
-    avail = {}
-    for e in edge_ids:
-        used = {pc.assigned[f] for f in cg[e] if f in pc.assigned}
-        avail[e] = sorted(set(L[e]) - used)
+    avail = {e: sorted(available(e, L, pc, cg)) for e in edge_ids}
     region_set = set(edge_ids)
     chosen: Dict[int, int] = {}
     nodes = 0
@@ -616,14 +542,14 @@ def _exhaustive_region(b, L, pc, cg, edge_ids) -> bool:
     return True
 
 
-def _run_with_fallback(b, L, pc, cg, stats, region, chain) -> None:
+def _run_with_fallback(L, pc, cg, stats, region, chain) -> None:
     try:
         chain(region)
     except InternalInvariant as exc:
         region.undo()
         stats.fallback_uses += 1
         logger.warning("extension chain failed (%s); using exhaustive fallback", exc)
-        if not _exhaustive_region(b, L, pc, cg, region.edges):
+        if not _exhaustive_region(L, pc, cg, region.edges):
             raise InternalInvariant(
                 f"fallback found no coloring for edges {region.edges}"
             ) from exc
@@ -658,7 +584,7 @@ def extend_c4(
     vp, e_vp = cycle.pendant[v]
     xp, e_xp = cycle.pendant[x]
     edge_ids = [e_uv, e_vw, e_wx, e_xu, e_vp, e_xp]
-    region = _Region(b, L, pc, cg, edge_ids)
+    region = _Region(L, pc, cg, edge_ids)
 
     if vp == xp:
         stats.k23_base_cases += 1
@@ -685,7 +611,7 @@ def extend_c4(
             for e in (e_uv, e_vw, e_wx, e_xu):
                 region.assign_min(e)
 
-    _run_with_fallback(b, L, pc, cg, stats, region, chain)
+    _run_with_fallback(L, pc, cg, stats, region, chain)
     return pc
 
 
@@ -789,11 +715,10 @@ def extend_c6(
     """Color the nine uncolored edges around a shortest 6-cycle."""
     cg = cg or build_conflict_graph(b)
     stats = stats if stats is not None else SolveStats()
-    d = cycle.vertices
     frames = [_c6_frame(cycle, r) for r in range(3)]
     f0 = frames[0]
     edge_ids = [f0.uv, f0.vw, f0.wx, f0.xy, f0.yz, f0.zu, f0.up, f0.wp, f0.yp]
-    region = _Region(b, L, pc, cg, edge_ids)
+    region = _Region(L, pc, cg, edge_ids)
     stats.c6_extensions += 1
 
     def chain(region: _Region) -> None:
@@ -810,7 +735,7 @@ def extend_c6(
         else:
             region.sdr(edge_ids, stats)
 
-    _run_with_fallback(b, L, pc, cg, stats, region, chain)
+    _run_with_fallback(L, pc, cg, stats, region, chain)
     return pc
 
 
@@ -846,7 +771,7 @@ def extend_long_cycle(
     pend_edge = {i: cycle.pendant[d[i]][1] for i in range(1, n, 2)}
     pend_vertex = {i: cycle.pendant[d[i]][0] for i in range(1, n, 2)}
     edge_ids = list(ce) + [pend_edge[i] for i in range(1, n, 2)]
-    region = _Region(b, L, pc, cg, edge_ids)
+    region = _Region(L, pc, cg, edge_ids)
     stats.long_cycle_extensions += 1
     for e in ce:
         region.truncate(e, 5)
@@ -864,11 +789,8 @@ def extend_long_cycle(
             "vz": pend_edge[1],
             "xt": pend_edge[3],
         },
-        lists={e: frozenset(region.avail[e]) for e in
-               (ce[0], ce[1], ce[2], ce[3], pend_edge[1], pend_edge[3])},
     )
-    for e, c in precolor_five_path(cfg1, stats):
-        region.assign(e, c)
+    precolor_five_path(b, L, pc, cfg1, cg, stats)
 
     # step 2: odd path v5, v6, ..., vn, v1 with pendants at v6, v8, ..., vn
     n2 = n - 3
@@ -876,17 +798,12 @@ def extend_long_cycle(
     path_edges = tuple(ce[3 + k] for k in range(1, n2 - 1)) + (ce[n - 1],)
     pendant_vertices = {k: pend_vertex[3 + k] for k in range(2, n2, 2)}
     pendant_edges = {k: pend_edge[3 + k] for k in range(2, n2, 2)}
-    cfg2 = OddPathConfig(
-        path_vertices,
-        pendant_vertices,
-        path_edges,
-        pendant_edges,
-        {e: frozenset(region.avail[e]) for e in list(path_edges) + list(pendant_edges.values())},
-    )
-    for e, c in color_odd_path(cfg2, stats):
-        region.assign(e, c)
+    cfg2 = OddPathConfig(path_vertices, pendant_vertices, path_edges, pendant_edges)
+    color_odd_path(b, L, pc, cfg2, cg, stats)
 
-    # step 3: the two remaining middle edges of the seed
+    # step 3: the two remaining middle edges of the seed, narrowed by steps 1-2
+    for e in (ce[1], ce[2]):
+        region.avail[e] &= available(e, L, pc, cg)
     if len(region.avail[ce[1]]) < 2 or len(region.avail[ce[2]]) < 1:
         raise InternalInvariant(
             f"middle edges have {len(region.avail[ce[1]])} and "
@@ -901,26 +818,14 @@ def extend_long_cycle(
 # the full solver
 
 
-def _assign_greedy(b, L, pc, cg, e) -> None:
-    avail = available(e, L, pc, cg)
-    if not avail:
-        raise InternalInvariant(f"deferred edge {e} has no available color")
-    pc.set(e, min(avail))
-
-
 def _solve_component(b, L, cg, comp, alive, deg, pc, stats) -> None:
     g = b.graph
+    # a per-component heap: a global one would change which cycle is carved
     heap = [v for v in comp if _qualifies(b, deg, v)]
     heapify(heap)
-    entries: list = []
+    state = PeelState(alive, deg, heap, [])
     while True:
-        while heap:
-            v = heappop(heap)
-            if not _qualifies(b, deg, v):
-                continue
-            e = min(eid for eid, _ in g.adj[v] if alive[eid])
-            _remove_edge(b, alive, deg, heap, e)
-            entries.append(("edge", e))
+        while peel_step(b, state) is not None:
             stats.peeled_edges += 1
         found = _residual_shortest_cycle(b, alive, deg, comp)
         if found is None:
@@ -933,18 +838,8 @@ def _solve_component(b, L, cg, comp, alive, deg, pc, stats) -> None:
             for eid, _ in g.adj[v]:
                 if alive[eid]:
                     _remove_edge(b, alive, deg, heap, eid)
-        n = len(desc)
-        kind = "c4" if n == 4 else ("c6" if n == 6 else "long")
-        entries.append((kind, desc))
-    for kind, payload in reversed(entries):
-        if kind == "edge":
-            _assign_greedy(b, L, pc, cg, payload)
-        elif kind == "c4":
-            extend_c4(b, L, pc, payload, cg=cg, stats=stats)
-        elif kind == "c6":
-            extend_c6(b, L, pc, payload, cg=cg, stats=stats)
-        else:
-            extend_long_cycle(b, L, pc, payload, cg=cg, stats=stats)
+        state.stack.append(desc)
+    greedy_unwind(state.stack, b, L, pc, cg, stats)
 
 
 def color_strong_23(

@@ -104,10 +104,9 @@ def test_criterion_5_path_procedure_suites():
     for _ in range(10_000):
         palette = 6 + rng.below(7)
         lists = {r: frozenset(rng.subset(five_sizes[r], palette)) for r in _FIVE_ROLES}
-        cfg = sc.FivePathConfig.standalone(lists)
-        out = sc.precolor_five_path(cfg)
+        cfg = sc.FivePathConfig.standalone()
         L = ListAssignment({cfg.edge_ids[r]: lists[r] for r in _FIVE_ROLES})
-        pc = sc.PartialColoring(dict(out))
+        pc = sc.precolor_five_path(b5, L, sc.PartialColoring(), cfg, cg5)
         assert sc.verify_strong(b5, L, pc, cg=cg5) == []
         assert len(sc.available(cfg.edge_ids["vw"], L, pc, cg5)) >= 3
         assert len(sc.available(cfg.edge_ids["wx"], L, pc, cg5)) >= 2
@@ -120,10 +119,9 @@ def test_criterion_5_path_procedure_suites():
         for _ in range(10_000):
             palette = 6 + rng.below(7)
             lists = {role: frozenset(rng.subset(k, palette)) for role, k in req.items()}
-            cfg = sc.OddPathConfig.standalone(n, lists)
-            out = sc.color_odd_path(cfg)
+            cfg = sc.OddPathConfig.standalone(n)
             L = ListAssignment({cfg.edge_for(r): lists[r] for r in req})
-            pc = sc.PartialColoring(dict(out))
+            pc = sc.color_odd_path(bn, L, sc.PartialColoring(), cfg, cgn)
             assert len(pc.assigned) == len(req)
             assert sc.verify_strong(bn, L, pc, require_total=True, cg=cgn) == []
         _report(5, f"odd-path coloring n={n}: 10000/10000 draws valid")

@@ -88,6 +88,18 @@ def k23_file(tmp_path, k23):
     return path
 
 
+@pytest.fixture
+def k4_partial_lists(tmp_path):
+    """The k4 graph file plus an incidence lists file naming one incidence only."""
+    gpath = tmp_path / "k4.graph"
+    gpath.write_text(fileio.graph_to_text(sc.named("k4")))
+    lists_path = tmp_path / "partial.json"
+    lists_path.write_text(
+        fileio.lists_to_text({Incidence(0, 0): range(1, 7)}, incidence=True)
+    )
+    return gpath, lists_path
+
+
 class TestCliColor:
     def test_k23_uniform_six(self, tmp_path, k23_file):
         out = tmp_path / "out.colors"
@@ -160,6 +172,17 @@ class TestCliVerify:
         assert r.returncode == 1
         assert "list" in r.stdout
 
+    def test_partial_incidence_lists(self, tmp_path, k4_partial_lists):
+        # incidences missing from the lists file have empty lists
+        gpath, lists_path = k4_partial_lists
+        cpath = tmp_path / "k4.colors"
+        assert run_cli("color", gpath, "--mode", "incidence", "--uniform", 6,
+                       "--out", cpath).returncode == 0
+        r = run_cli("verify", gpath, cpath, "--lists", lists_path)
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert r.stdout.startswith("list ")
+
     def test_parse_error(self, tmp_path, k23):
         gpath, _ = self.make_colored(tmp_path, k23)
         bad = tmp_path / "bad.colors"
@@ -219,6 +242,13 @@ class TestCliOracle:
             env=env,
         )
         assert r.returncode == 4
+
+    def test_partial_incidence_lists_infeasible(self, k4_partial_lists):
+        gpath, lists_path = k4_partial_lists
+        r = run_cli("oracle", gpath, "--mode", "incidence", "--lists", lists_path)
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert r.stdout.strip() == "infeasible"
 
     def test_incidence_min_colors(self, tmp_path):
         gpath = tmp_path / "k4.graph"

@@ -11,15 +11,23 @@ from strongcolor import FivePathConfig, OddPathConfig, ListAssignment, PartialCo
 from strongcolor.generate import SplitMix64
 from strongcolor.solver import _FIVE_ROLES, _odd_required_sizes
 
-from conftest import five_path_graph, odd_path_graph
+from conftest import cycle_gadget, five_path_graph, odd_path_graph
 
 
 FIVE_SIZES = {"uv": 5, "vw": 5, "wx": 5, "xy": 5, "vz": 3, "xt": 3}
 
 
+def run_five_path(lists_by_role):
+    """Assignments of ``precolor_five_path`` on the standalone gadget, in order."""
+    cfg = FivePathConfig.standalone()
+    L = ListAssignment({cfg.edge_ids[r]: frozenset(lists_by_role[r]) for r in _FIVE_ROLES})
+    pc = sc.precolor_five_path(five_path_graph(), L, PartialColoring(), cfg)
+    return list(pc.assigned.items())
+
+
 def check_five_path(lists_by_role):
-    cfg = FivePathConfig.standalone(lists_by_role)
-    out = sc.precolor_five_path(cfg)
+    cfg = FivePathConfig.standalone()
+    out = run_five_path(lists_by_role)
     assert sorted(e for e, _ in out) == sorted(
         cfg.edge_ids[r] for r in ("uv", "vz", "xy", "xt")
     )
@@ -84,7 +92,7 @@ class TestPrecolorFivePath:
         lists = {r: set(range(FIVE_SIZES[r])) for r in _FIVE_ROLES}
         lists["vz"] = {1, 2}
         with pytest.raises(sc.ListTooSmall):
-            FivePathConfig.standalone(lists)
+            run_five_path(lists)
 
     def test_random_draws(self):
         rng = SplitMix64(101)
@@ -96,14 +104,43 @@ class TestPrecolorFivePath:
 
     def test_deterministic(self):
         lists = {r: set(range(2, 2 + FIVE_SIZES[r])) for r in _FIVE_ROLES}
-        a = sc.precolor_five_path(FivePathConfig.standalone(lists))
-        b = sc.precolor_five_path(FivePathConfig.standalone(lists))
+        a = run_five_path(lists)
+        b = run_five_path(lists)
         assert a == b
+
+    def test_on_cycle_with_colored_neighbours(self):
+        # on the 8-cycle gadget the seed sits on u-v-w-x-y = 0..4 with
+        # pendants 1-8 and 3-9; the cycle edges 7-0 and 4-5 are already
+        # colored and each costs the seed's edges at most one color
+        b = cycle_gadget(8)
+        cfg = FivePathConfig(
+            (0, 1, 2, 3, 4, 8, 9),
+            {"uv": 0, "vw": 1, "wx": 2, "xy": 3, "vz": 8, "xt": 9},
+        )
+        cg = sc.build_conflict_graph(b)
+        rng = SplitMix64(8)
+        for trial in range(200):
+            palette = 6 + rng.below(3)
+            L = sc.random_lists(range(b.graph.edge_count), 6, palette, rng.next_u64())
+            pc = PartialColoring({7: min(L[7]), 4: max(L[4] - {min(L[7])})})
+            sc.precolor_five_path(b, L, pc, cfg, cg)
+            assert sorted(pc.assigned) == [0, 3, 4, 7, 8, 9]
+            assert sc.verify_strong(b, L, pc, cg=cg) == []
+            assert len(sc.available(1, L, pc, cg)) >= 3
+            assert len(sc.available(2, L, pc, cg)) >= 2
+
+
+def run_odd_path(n, lists_by_role):
+    """Assignments of ``color_odd_path`` on the standalone gadget, in order."""
+    cfg = OddPathConfig.standalone(n)
+    L = ListAssignment({cfg.edge_for(r): frozenset(cs) for r, cs in lists_by_role.items()})
+    pc = sc.color_odd_path(odd_path_graph(n), L, PartialColoring(), cfg)
+    return list(pc.assigned.items())
 
 
 def check_odd_path(n, lists_by_role):
-    cfg = OddPathConfig.standalone(n, lists_by_role)
-    out = sc.color_odd_path(cfg)
+    cfg = OddPathConfig.standalone(n)
+    out = run_odd_path(n, lists_by_role)
     b = odd_path_graph(n)
     L = ListAssignment({cfg.edge_for(r): frozenset(cs) for r, cs in lists_by_role.items()})
     pc = PartialColoring(dict(out))
@@ -154,22 +191,22 @@ class TestColorOddPath:
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
-            OddPathConfig.standalone(6, {})
+            OddPathConfig.standalone(6)
 
     def test_short_path_rejected(self):
         with pytest.raises(ValueError):
-            OddPathConfig.standalone(3, {})
+            OddPathConfig.standalone(3)
 
     def test_undersized_list_rejected(self):
         req = _odd_required_sizes(5)
         lists = {role: set(range(k)) for role, k in req.items()}
         lists[("p", 2)] = {1, 2}
         with pytest.raises(sc.ListTooSmall):
-            OddPathConfig.standalone(5, lists)
+            run_odd_path(5, lists)
 
     def test_deterministic(self):
         req = _odd_required_sizes(7)
         lists = {role: set(range(3, 3 + k)) for role, k in req.items()}
-        a = sc.color_odd_path(OddPathConfig.standalone(7, lists))
-        b = sc.color_odd_path(OddPathConfig.standalone(7, lists))
+        a = run_odd_path(7, lists)
+        b = run_odd_path(7, lists)
         assert a == b
