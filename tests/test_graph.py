@@ -7,6 +7,8 @@ from strongcolor import (
     NotBipartite,
     NotTwoThree,
 )
+from strongcolor.generate import SplitMix64
+from strongcolor.graph import _descriptor_from_cycle, _residual_shortest_cycle
 
 from conftest import brute_girth, rand_b23
 
@@ -197,3 +199,162 @@ class TestComponents:
     def test_cycle_plus_isolated(self):
         g = sc.build_multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert sc.components(g) == [[0, 1, 2, 3], [4]]
+
+
+# ---------------------------------------------------------------------------
+# the girth scan against an unpruned reference
+
+
+def _reference_cycle_through(start, adj, alive, cap):
+    """Itai-Rodeh BFS from one start: the first down-pointing non-tree edge."""
+    dist = {start: 0}
+    parent_vertex = {}
+    parent_edge = {start: -1}
+    queue = [start]
+    qi = 0
+    while qi < len(queue):
+        u = queue[qi]
+        qi += 1
+        du = dist[u]
+        if du > cap:
+            return None
+        for eid, w in adj[u]:
+            if not alive[eid]:
+                continue
+            dw = dist.get(w)
+            if dw is None:
+                dist[w] = du + 1
+                parent_edge[w] = eid
+                parent_vertex[w] = u
+                queue.append(w)
+            elif dw == du - 1 and eid != parent_edge[u]:
+                pu = [u]
+                while dist[pu[-1]] > 0:
+                    pu.append(parent_vertex[pu[-1]])
+                pu.reverse()
+                pw = [w]
+                while dist[pw[-1]] > 0:
+                    pw.append(parent_vertex[pw[-1]])
+                pw.reverse()
+                if set(pu[1:]) & set(pw[1:]):
+                    return None
+                return du + dw + 1, pu + pw[:0:-1]
+    return None
+
+
+def _reference_scan(b, alive, deg, vertex_order):
+    """A BFS from every start of degree >= 2, no skips, no early stop;
+    the first cycle of minimum length wins."""
+    best = None
+    for s in vertex_order:
+        if deg[s] < 2:
+            continue
+        cap = (best[0] - 2) // 2 if best is not None else b.graph.vertex_count
+        hit = _reference_cycle_through(s, b.graph.adj, alive, cap)
+        if hit is not None and (best is None or hit[0] < best[0]):
+            best = (hit[0], tuple(hit[1]))
+    return best
+
+
+def _scan_corpus_graph(rng):
+    if rng.below(2):
+        return sc.random_cubic(4 + 2 * rng.below(12), rng.next_u64())
+    return _generalized_petersen(5 + rng.below(10), 1 + rng.below(3))
+
+
+def _generalized_petersen(n, k):
+    outer = [(i, (i + 1) % n) for i in range(n)]
+    spokes = [(i, n + i) for i in range(n)]
+    inner = [(n + i, n + (i + k) % n) for i in range(n)]
+    return sc.build_multigraph(2 * n, outer + spokes + inner)
+
+
+def _relabelled(b, rng):
+    """The same graph under a random vertex permutation and edge order, so
+    A-vertices may precede B-vertices in the scan."""
+    n = b.graph.vertex_count
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairs = [(perm[u], perm[v]) for u, v in b.graph.edges]
+    rng.shuffle(pairs)
+    part_of = [None] * n
+    for v in range(n):
+        part_of[perm[v]] = b.part_of[v]
+    return sc.BipartiteGraph(sc.build_multigraph(n, pairs), part_of)
+
+
+def _union(graphs):
+    pairs, part_of = [], []
+    for b in graphs:
+        off = len(part_of)
+        pairs += [(u + off, v + off) for u, v in b.graph.edges]
+        part_of += b.part_of
+    return sc.BipartiteGraph(sc.build_multigraph(len(part_of), pairs), part_of)
+
+
+def _random_residue(b, rng):
+    """Alive flags with about one edge in eight deleted, and the matching degrees."""
+    g = b.graph
+    alive = [rng.below(8) != 0 for _ in range(g.edge_count)]
+    deg = [sum(alive[eid] for eid, _ in g.adj[v]) for v in range(g.vertex_count)]
+    return alive, deg
+
+
+def _assert_scan_matches(b, alive, deg, order):
+    got = _residual_shortest_cycle(b, alive, deg, order)
+    want = _reference_scan(b, alive, deg, order)
+    assert got == want
+    if want is not None:
+        assert _descriptor_from_cycle(b, list(got[1]), alive) == _descriptor_from_cycle(
+            b, list(want[1]), alive
+        )
+    return want is not None
+
+
+class TestScanEquivalence:
+    """The pruned scan returns exactly the reference's (length, vertices)."""
+
+    def test_subdivided_relabelled_and_edge_deleted(self):
+        rng = SplitMix64(20261018)
+        hits = 0
+        for i in range(300):
+            b = sc.subdivide(_scan_corpus_graph(rng)).bipartite
+            if i % 2:
+                b = _relabelled(b, rng)
+            order = range(b.graph.vertex_count)
+            full = [True] * b.graph.edge_count
+            _assert_scan_matches(b, full, [b.graph.degree(v) for v in order], order)
+            alive, deg = _random_residue(b, rng)
+            hits += _assert_scan_matches(b, alive, deg, order)
+        assert hits > 200
+
+    def test_shortest_cycle_on_deleted_and_random_graphs(self):
+        rng = SplitMix64(20261019)
+        graphs = [rand_b23(5 + rng.below(20), 4, rng.next_u64()) for _ in range(150)]
+        for _ in range(150):
+            b = _relabelled(sc.subdivide(_scan_corpus_graph(rng)).bipartite, rng)
+            alive, _ = _random_residue(b, rng)
+            pairs = [uv for eid, uv in enumerate(b.graph.edges) if alive[eid]]
+            graphs.append(sc.BipartiteGraph(sc.build_multigraph(len(b.part_of), pairs), b.part_of))
+        for b in graphs:
+            g = b.graph
+            full = [True] * g.edge_count
+            want = _reference_scan(b, full, [g.degree(v) for v in range(g.vertex_count)],
+                                   range(g.vertex_count))
+            got = sc.shortest_cycle(b)
+            if want is None:
+                assert got is None
+            else:
+                assert got == _descriptor_from_cycle(b, list(want[1]), full)
+
+    def test_disjoint_union_per_component(self):
+        rng = SplitMix64(20261020)
+        for _ in range(20):
+            parts = []
+            for _ in range(2 + rng.below(5)):
+                b = sc.subdivide(_scan_corpus_graph(rng)).bipartite
+                parts.append(_relabelled(b, rng) if rng.below(2) else b)
+            b = _union(parts)
+            alive, deg = _random_residue(b, rng)
+            for comp in sc.components(b.graph):
+                _assert_scan_matches(b, alive, deg, comp)
