@@ -94,7 +94,8 @@ def _cmd_color(args) -> int:
         coloring, stats = color_incidence(mg, L)
         _emit(fileio.coloring_to_text(coloring, "incidence"), args.out)
     if args.stats:
-        sys.stdout.write(json.dumps(stats.as_dict(), sort_keys=True) + "\n")
+        # stderr, so stdout holds the coloring alone even with --out -
+        sys.stderr.write(json.dumps(stats.as_dict(), sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -104,7 +105,7 @@ def _cmd_verify(args) -> int:
     if mode == "strong":
         b = _as_bipartite(g)
         L = fileio.lists_from_text(fileio.read_text(args.lists)) if args.lists else None
-        violations = verify_strong(b, L, PartialColoring(colors))
+        violations = verify_strong(b, L, PartialColoring(colors), require_total=True)
     else:
         mg = _as_multigraph(g)
         L = (
@@ -112,7 +113,7 @@ def _cmd_verify(args) -> int:
             if args.lists
             else None
         )
-        violations = verify_incidence(mg, colors, L)
+        violations = verify_incidence(mg, colors, L, require_total=True)
     for v in violations:
         sys.stdout.write(f"{v}\n")
     return EXIT_OK if not violations else EXIT_INVALID
@@ -227,10 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--uniform", type=int, help="identical lists {1..K}", metavar="K")
     p.add_argument("--mode", choices=("strong", "incidence"), default="strong")
     p.add_argument("--out", default="-")
-    p.add_argument("--stats", action="store_true", help="print solve counters as JSON")
+    p.add_argument("--stats", action="store_true", help="print solve counters as JSON to stderr")
     p.set_defaults(func=_cmd_color)
 
-    p = sub.add_parser("verify", help="check a coloring file")
+    p = sub.add_parser("verify", help="check that a coloring file is total and valid")
     p.add_argument("graph")
     p.add_argument("coloring")
     p.add_argument("--lists", help="also check list membership")

@@ -108,13 +108,16 @@ def lists_from_text(text: str, incidence: bool = False):
     if not isinstance(body, dict):
         raise FormatError("missing lists object")
     try:
-        if incidence:
-            return {
-                _key_to_incidence(k): frozenset(int(c) for c in v) for k, v in body.items()
-            }
-        return ListAssignment({int(k): frozenset(int(c) for c in v) for k, v in body.items()})
+        keyed = {
+            (_key_to_incidence(k) if incidence else int(k)): frozenset(int(c) for c in v)
+            for k, v in body.items()
+        }
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed lists: {exc}") from exc
+    for key, colors in keyed.items():
+        if colors and min(colors) < 0:
+            raise FormatError(f"list of {key} holds a negative color {min(colors)}")
+    return keyed if incidence else ListAssignment(keyed)
 
 
 # -- colorings ---------------------------------------------------------------
@@ -158,5 +161,8 @@ def read_text(path: str) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc

@@ -281,67 +281,85 @@ class CycleDescriptor:
         return len(self.vertices)
 
 
-def _cycle_through(start, adj, alive, cap):
-    """Shortest cycle through ``start`` as (length, vertex list), or (None, None).
+def _cycle_through(start, nbrs, dist, parent, cap):
+    """Shortest cycle through ``start`` as (length, positions), or None.
 
-    BFS records a candidate only on non-tree edges pointing one level down,
-    so candidates seen while popping level d close cycles of length exactly
+    ``nbrs`` holds alive neighbour positions; ``dist`` must read -1 at
+    every position on entry and does again on return.  BFS records a
+    candidate only on non-tree edges pointing one level down, so
+    candidates seen while popping level d close cycles of length exactly
     2d and the first one found is minimal through ``start``.  Levels beyond
-    ``cap`` cannot improve on the caller's current best and are skipped.
+    ``cap`` cannot improve on the caller's current best and never enter
+    the queue.
     If the two tree paths of the first candidate overlap, the closed walk
     strictly contains a shorter cycle, which some other start will find, so
-    the candidate is dropped.
+    the candidate is dropped.  Without parallel edges, "not the tree edge
+    of u" is "not the parent of u".
     """
-    dist = {start: 0}
-    parent_vertex = {}
-    parent_edge = {start: -1}
+    dist[start] = 0
+    parent[start] = -1
     queue = [start]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        du = dist[u]
-        if du > cap:
-            return None, None
-        for eid, w in adj[u]:
-            if not alive[eid]:
-                continue
-            dw = dist.get(w)
-            if dw is None:
-                dist[w] = du + 1
-                parent_edge[w] = eid
-                parent_vertex[w] = u
-                queue.append(w)
-            elif dw == du - 1 and eid != parent_edge[u]:
-                pu = [u]
-                while dist[pu[-1]] > 0:
-                    pu.append(parent_vertex[pu[-1]])
-                pu.reverse()  # start .. u
-                pw = [w]
-                while dist[pw[-1]] > 0:
-                    pw.append(parent_vertex[pw[-1]])
-                pw.reverse()  # start .. w
-                if set(pu[1:]) & set(pw[1:]):
-                    return None, None
-                return du + dw + 1, pu + pw[:0:-1]
-    return None, None
+    try:
+        for u in queue:
+            du = dist[u]
+            pu = parent[u]
+            for w in nbrs[u]:
+                dw = dist[w]
+                if dw < 0:
+                    if du < cap:
+                        dist[w] = du + 1
+                        parent[w] = u
+                        queue.append(w)
+                elif dw == du - 1 and w != pu:
+                    up_u, up_w = [u], [w]  # tree paths up to start
+                    for path in (up_u, up_w):
+                        while path[-1] != start:
+                            path.append(parent[path[-1]])
+                    if not set(up_u[:-1]).isdisjoint(up_w[:-1]):
+                        return None
+                    cyc = up_u[::-1] + up_w[:-1]
+                    return len(cyc), cyc
+        return None
+    finally:
+        for v in queue:
+            dist[v] = -1
 
 
 def _residual_shortest_cycle(b: BipartiteGraph, alive, deg, vertex_order):
     """Shortest alive cycle as (length, vertices), or None.
 
-    Starts are scanned in the given ascending order; the first cycle
-    achieving the minimum length wins.
+    Starts are scanned in the given order; the first cycle achieving the
+    minimum length wins.  ``vertex_order`` must hold every vertex that an
+    alive edge joins to one of its vertices (a union of components).
+
+    The result equals that of a BFS from every start.  Before the first
+    start s* lying on a shortest cycle, every candidate is a real cycle
+    longer than the girth g, so at s* the cap is at least g/2 and s*
+    returns a girth cycle; every later start finds nothing under the cap.
+    Only s* matters, so starts that can never be s* are skipped:
+
+    - a degree-2 start with an alive neighbour earlier in the order, since
+      every cycle through it also passes through that neighbour;
+    - everything after a 4-cycle, as a simple bipartite graph has no
+      shorter one.
     """
     g = b.graph
+    order = [v for v in vertex_order if deg[v]]
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = [[pos[w] for eid, w in g.adj[v] if alive[eid]] for v in order]
+    dist = [-1] * len(order)
+    parent = [-1] * len(order)
     best = None
-    for s in vertex_order:
-        if deg[s] < 2:
+    for i, s in enumerate(order):
+        d = deg[s]
+        if d < 2 or (d == 2 and min(nbrs[i]) < i):
             continue
-        cap = (best[0] - 2) // 2 if best is not None else g.vertex_count
-        length, cyc = _cycle_through(s, g.adj, alive, cap)
-        if length is not None and (best is None or length < best[0]):
-            best = (length, tuple(cyc))
+        cap = (best[0] - 2) // 2 if best is not None else len(order)
+        hit = _cycle_through(i, nbrs, dist, parent, cap)
+        if hit is not None and (best is None or hit[0] < best[0]):
+            best = (hit[0], tuple(order[x] for x in hit[1]))
+            if best[0] == 4:
+                break
     return best
 
 

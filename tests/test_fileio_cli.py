@@ -61,6 +61,17 @@ class TestListsAndColoringFiles:
         assert back.lists == L.lists
         assert fileio.lists_to_text(back.lists) == text
 
+    @pytest.mark.parametrize("incidence", [False, True])
+    def test_negative_color_rejected(self, incidence):
+        key = "0:0" if incidence else "0"
+        text = json.dumps({"format_version": 1, "lists": {key: [1, -2, 3]}})
+        with pytest.raises(sc.FormatError):
+            fileio.lists_from_text(text, incidence=incidence)
+
+    def test_unwritable_path(self, tmp_path):
+        with pytest.raises(sc.FormatError):
+            fileio.write_text(str(tmp_path / "missing" / "x.json"), "{}")
+
     def test_incidence_lists_round_trip(self):
         lists = {Incidence(0, 1): frozenset({1, 2, 3}), Incidence(2, 1): frozenset({4, 5})}
         text = fileio.lists_to_text(lists, incidence=True)
@@ -119,10 +130,30 @@ class TestCliColor:
         out = tmp_path / "p.colors"
         r = run_cli("color", gpath, "--mode", "incidence", "--uniform", 6, "--stats", "--out", out)
         assert r.returncode == 0, r.stderr
-        stats = json.loads(r.stdout)
+        stats = json.loads(r.stderr)
         assert stats["long_cycle_extensions"] >= 1
         mode, colors = fileio.coloring_from_text(out.read_text())
         assert mode == "incidence" and len(set(colors.values())) <= 6
+
+    def test_stdout_holds_only_the_coloring(self, k23_file):
+        r = run_cli("color", k23_file, "--uniform", 6, "--stats", "--out", "-")
+        assert r.returncode == 0, r.stderr
+        mode, colors = fileio.coloring_from_text(r.stdout)
+        assert mode == "strong" and len(colors) == 6
+        assert "peeled_edges" in json.loads(r.stderr)
+
+    def test_unwritable_out(self, tmp_path, k23_file):
+        r = run_cli("color", k23_file, "--uniform", 6, "--out", tmp_path / "missing" / "x.json")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: cannot write")
+        assert "Traceback" not in r.stderr
+
+    def test_negative_colors_rejected(self, tmp_path, k23_file):
+        lists_path = tmp_path / "lists.json"
+        lists_path.write_text(fileio.lists_to_text({e: range(-6, 0) for e in range(6)}))
+        r = run_cli("color", k23_file, "--lists", lists_path)
+        assert r.returncode == 2
+        assert "negative color" in r.stderr
 
     def test_malformed_graph(self, tmp_path):
         bad = tmp_path / "bad.graph"
@@ -182,6 +213,31 @@ class TestCliVerify:
         assert r.returncode == 1
         assert "Traceback" not in r.stderr
         assert r.stdout.startswith("list ")
+
+    def test_truncated_coloring_rejected(self, tmp_path):
+        gpath = tmp_path / "cubic.graph"
+        assert run_cli("gen", "cubic", "--n", 10, "--seed", 1, "--out", gpath).returncode == 0
+        cpath = tmp_path / "cubic.colors"
+        assert run_cli("color", gpath, "--mode", "incidence", "--uniform", 6,
+                       "--out", cpath).returncode == 0
+        mode, colors = fileio.coloring_from_text(cpath.read_text())
+        for inc in sorted(colors)[:5]:
+            del colors[inc]
+        cpath.write_text(fileio.coloring_to_text(colors, mode))
+        r = run_cli("verify", gpath, cpath)
+        assert r.returncode == 1
+        assert r.stdout.splitlines() == [line for line in r.stdout.splitlines()
+                                         if line.startswith("uncolored ")]
+        assert len(r.stdout.splitlines()) == 5
+
+    def test_truncated_strong_coloring_rejected(self, tmp_path, k23):
+        gpath, cpath = self.make_colored(tmp_path, k23)
+        _, colors = fileio.coloring_from_text(cpath.read_text())
+        del colors[5]
+        cpath.write_text(fileio.coloring_to_text(colors, "strong"))
+        r = run_cli("verify", gpath, cpath)
+        assert r.returncode == 1
+        assert r.stdout == "uncolored (5,): edge 5 has no color\n"
 
     def test_parse_error(self, tmp_path, k23):
         gpath, _ = self.make_colored(tmp_path, k23)
