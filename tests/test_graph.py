@@ -11,6 +11,7 @@ from strongcolor.generate import SplitMix64
 from strongcolor.graph import _descriptor_from_cycle, _residual_shortest_cycle
 
 from conftest import brute_girth, rand_b23
+from test_golden import _generalized_petersen
 
 
 K4_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -260,13 +261,6 @@ def _scan_corpus_graph(rng):
     if rng.below(2):
         return sc.random_cubic(4 + 2 * rng.below(12), rng.next_u64())
     return _generalized_petersen(5 + rng.below(10), 1 + rng.below(3))
-
-
-def _generalized_petersen(n, k):
-    outer = [(i, (i + 1) % n) for i in range(n)]
-    spokes = [(i, n + i) for i in range(n)]
-    inner = [(n + i, n + (i + k) % n) for i in range(n)]
-    return sc.build_multigraph(2 * n, outer + spokes + inner)
 
 
 def _relabelled(b, rng):
