@@ -226,7 +226,9 @@ class TestExtendC6:
             yz={0, 1, 2, 5, 6},
             zu={0, 1, 2, 5, 6},
         )
-        self.run(by_role, expect_fallback=1)
+        pc, _ = self.run(by_role, expect_fallback=1)
+        # the fallback's exact output: most-constrained edge first, colors ascending
+        assert pc.assigned == {0: 1, 1: 7, 2: 2, 3: 3, 4: 7, 5: 2, 6: 0, 7: 0, 8: 0}
 
     def test_rotated_opposite_pair(self):
         # (uv, xy) disjoint but the rotated pair (vw, yz) shares a color
@@ -309,7 +311,8 @@ class TestExtendC6:
             "wp": {1, 2, 3},
             "yp": {1, 2, 4},
         }
-        self.run(by_role, expect_fallback=1)
+        pc, _ = self.run(by_role, expect_fallback=1)
+        assert pc.assigned == {0: 6, 1: 2, 2: 3, 3: 4, 4: 7, 5: 8, 6: 1, 7: 1, 8: 1}
 
     def test_random_exact_entry_sizes(self):
         rng = SplitMix64(6)
