@@ -6,7 +6,8 @@ invalid coloring, infeasible instance, or a stress run below 100%;
 4 oracle budget exceeded.
 
 The oracle budget can be overridden with the environment variables
-STRONGCOLOR_ORACLE_MAX_EDGES and STRONGCOLOR_ORACLE_MAX_NODES.
+STRONGCOLOR_ORACLE_MAX_EDGES and STRONGCOLOR_ORACLE_MAX_NODES, each a
+positive integer; any other value is a malformed argument (exit 2).
 """
 
 from __future__ import annotations
@@ -51,9 +52,15 @@ EXIT_BUDGET = 4
 
 
 def _oracle_budget() -> OracleBudget:
-    max_edges = int(os.environ.get("STRONGCOLOR_ORACLE_MAX_EDGES", OracleBudget.max_edges))
-    max_nodes = int(os.environ.get("STRONGCOLOR_ORACLE_MAX_NODES", OracleBudget.max_nodes))
-    return OracleBudget(max_edges=max_edges, max_nodes=max_nodes)
+    try:
+        max_edges = int(os.environ.get("STRONGCOLOR_ORACLE_MAX_EDGES", OracleBudget.max_edges))
+        max_nodes = int(os.environ.get("STRONGCOLOR_ORACLE_MAX_NODES", OracleBudget.max_nodes))
+        return OracleBudget(max_edges=max_edges, max_nodes=max_nodes)
+    except ValueError as exc:
+        raise FormatError(
+            "STRONGCOLOR_ORACLE_MAX_EDGES and STRONGCOLOR_ORACLE_MAX_NODES "
+            f"must be positive integers: {exc}"
+        ) from exc
 
 
 def _load_graph(path: str):
@@ -158,12 +165,7 @@ def _cmd_oracle(args) -> int:
             inc_lists = uniform_incidence_lists(mg, args.uniform)
         else:
             inc_lists = fileio.lists_from_text(fileio.read_text(args.lists), incidence=True)
-        L = ListAssignment(
-            {
-                eid: frozenset(inc_lists.get(inc, ()))
-                for inc, eid in sub.incidence_to_edge.items()
-            }
-        )
+        L = ListAssignment(sub.edge_lists(inc_lists))
         coloring = backtrack_color(sub.bipartite, L, budget)
     if coloring is None:
         sys.stdout.write("infeasible\n")
@@ -173,6 +175,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_stress(args) -> int:
+    budget = _oracle_budget()  # up front: a bad value is exit 2, not a failed instance
     rng = SplitMix64(args.seed)
     stats = SolveStats()
     ok = 0
@@ -195,7 +198,7 @@ def _cmd_stress(args) -> int:
             stats.merge(one)
             if verify_strong(b, L, pc, require_total=True):
                 continue
-            if m <= 16 and backtrack_color(b, L, _oracle_budget()) is None:
+            if m <= 16 and backtrack_color(b, L, budget) is None:
                 continue
             ok += 1
         except InputError:

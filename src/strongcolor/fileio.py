@@ -141,12 +141,15 @@ def coloring_from_text(text: str) -> Tuple[str, Dict]:
     body = doc.get("colors")
     if not isinstance(body, dict):
         raise FormatError("missing colors object")
+    key = _key_to_incidence if mode == "incidence" else int
     try:
-        if mode == "incidence":
-            return mode, {_key_to_incidence(k): int(c) for k, c in body.items()}
-        return mode, {int(k): int(c) for k, c in body.items()}
+        colors = {key(k): int(c) for k, c in body.items()}
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed colors: {exc}") from exc
+    for k, c in colors.items():
+        if c < 0:
+            raise FormatError(f"{k} has a negative color {c}")
+    return mode, colors
 
 
 # -- small path helpers ------------------------------------------------------

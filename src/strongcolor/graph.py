@@ -11,7 +11,7 @@ All types are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadEdgeId,
@@ -187,6 +187,12 @@ class SubdivisionMap:
         orig_vertex = u if u < orig_n else v
         mid = v if u < orig_n else u
         return Incidence(orig_vertex, mid - orig_n)
+
+    def edge_lists(self, inc_lists: Mapping) -> dict:
+        """Edge id -> the color list of its incidence; a missing list is empty."""
+        return {
+            eid: frozenset(inc_lists.get(inc, ())) for inc, eid in self.incidence_to_edge.items()
+        }
 
 
 def subdivide(g: Multigraph) -> SubdivisionMap:

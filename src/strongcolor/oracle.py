@@ -1,15 +1,16 @@
 """Exhaustive backtracking solver for small instances.
 
-Ground truth for feasibility and minimum color counts.  The search shares
-nothing with the constructive solver beyond the conflict relation itself,
-so agreement between the two is a meaningful cross-check.  Running out of
+Ground truth for feasibility and minimum color counts.  The solver's case
+chains share nothing with this search beyond the conflict relation, so
+agreement between the two is a meaningful cross-check; only the solver's
+flagged 6-cycle fallback reuses :func:`exhaustive_search`.  Running out of
 budget is reported as :class:`BudgetExceeded`, never as "infeasible".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from .conflict import ListAssignment, PartialColoring, build_conflict_graph, verify_strong
 from .errors import BudgetExceeded, InternalInvariant
@@ -26,6 +27,43 @@ class OracleBudget:
             raise ValueError("budgets must be positive")
 
 
+def exhaustive_search(edges: Sequence[int], avail, cg, max_nodes: int) -> Optional[Dict[int, int]]:
+    """Color ``edges`` from ``avail[e]`` with no conflict among them, or None iff impossible.
+
+    Branches on the most-constrained edge (ties to the lowest id) and tries
+    its colors in ``avail`` order; colors of edges outside ``edges`` must
+    already be missing from ``avail``.  Raises :class:`BudgetExceeded`
+    past ``max_nodes`` search nodes.
+    """
+    chosen: Dict[int, int] = {}
+    nodes = 0
+
+    def options(e: int):
+        blocked = {chosen[f] for f in cg[e] if f in chosen}
+        return [c for c in avail[e] if c not in blocked]
+
+    def dfs() -> bool:
+        nonlocal nodes
+        if len(chosen) == len(edges):
+            return True
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExceeded(f"oracle search exceeded {max_nodes} nodes")
+        count, e, opts = min(
+            (len(o), e, o) for e, o in ((e, options(e)) for e in edges if e not in chosen)
+        )
+        if count == 0:
+            return False
+        for c in opts:
+            chosen[e] = c
+            if dfs():
+                return True
+            del chosen[e]
+        return False
+
+    return chosen if dfs() else None
+
+
 def backtrack_color(
     b: BipartiteGraph, L: ListAssignment, budget: Optional[OracleBudget] = None
 ) -> Optional[Dict[int, int]]:
@@ -40,38 +78,13 @@ def backtrack_color(
         raise BudgetExceeded(f"{m} edges exceed the oracle edge budget {budget.max_edges}")
     cg = build_conflict_graph(b)
     avail = [sorted(L.get(e)) for e in range(m)]
-    chosen: Dict[int, int] = {}
-    nodes = 0
-
-    def options(e: int):
-        blocked = {chosen[f] for f in cg[e] if f in chosen}
-        return [c for c in avail[e] if c not in blocked]
-
-    def dfs() -> bool:
-        nonlocal nodes
-        if len(chosen) == m:
-            return True
-        nodes += 1
-        if nodes > budget.max_nodes:
-            raise BudgetExceeded(f"oracle search exceeded {budget.max_nodes} nodes")
-        count, e, opts = min(
-            (len(o), e, o) for e, o in ((e, options(e)) for e in range(m) if e not in chosen)
-        )
-        if count == 0:
-            return False
-        for c in opts:
-            chosen[e] = c
-            if dfs():
-                return True
-            del chosen[e]
-        return False
-
-    if not dfs():
+    chosen = exhaustive_search(range(m), avail, cg, budget.max_nodes)
+    if chosen is None:
         return None
     bad = verify_strong(b, L, PartialColoring(chosen), require_total=True, cg=cg)
     if bad:
         raise InternalInvariant(f"oracle produced an invalid coloring: {bad[:3]}")
-    return dict(chosen)
+    return chosen
 
 
 def _greedy_clique_lower_bound(b: BipartiteGraph) -> int:

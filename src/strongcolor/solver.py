@@ -35,10 +35,9 @@ from .conflict import (
     PartialColoring,
     available,
     build_conflict_graph,
-    verify_incidence,
     verify_strong,
 )
-from .errors import DegreeTooHigh, InternalInvariant, ListTooSmall
+from .errors import BudgetExceeded, DegreeTooHigh, InternalInvariant, ListTooSmall
 from .graph import (
     PART_A,
     BipartiteGraph,
@@ -51,6 +50,7 @@ from .graph import (
     subdivide,
 )
 from .matching import SdrProblem, rainbow_sdr
+from .oracle import exhaustive_search
 
 logger = logging.getLogger("strongcolor")
 
@@ -502,46 +502,6 @@ def _path_region(L, pc, cg, sizes: Mapping[int, int]) -> _Region:
     return region
 
 
-def _exhaustive_region(L, pc, cg, edge_ids) -> bool:
-    """Depth-first search over a small region, colors ascending.
-
-    Used only as a flagged fallback when an extension chain raises; works
-    on the untruncated available lists for maximum slack.
-    """
-    avail = {e: sorted(available(e, L, pc, cg)) for e in edge_ids}
-    region_set = set(edge_ids)
-    chosen: Dict[int, int] = {}
-    nodes = 0
-
-    def options(e):
-        blocked = {chosen[f] for f in cg[e] if f in chosen}
-        return [c for c in avail[e] if c not in blocked]
-
-    def dfs() -> bool:
-        nonlocal nodes
-        if len(chosen) == len(region_set):
-            return True
-        nodes += 1
-        if nodes > _FALLBACK_NODE_CAP:
-            raise InternalInvariant("fallback search budget exhausted")
-        pending = [(len(options(e)), e) for e in sorted(region_set) if e not in chosen]
-        count, e = min(pending)
-        if count == 0:
-            return False
-        for c in options(e):
-            chosen[e] = c
-            if dfs():
-                return True
-            del chosen[e]
-        return False
-
-    if not dfs():
-        return False
-    for e in sorted(chosen):
-        pc.set(e, chosen[e])
-    return True
-
-
 def _run_with_fallback(L, pc, cg, stats, region, chain) -> None:
     try:
         chain(region)
@@ -549,10 +509,19 @@ def _run_with_fallback(L, pc, cg, stats, region, chain) -> None:
         region.undo()
         stats.fallback_uses += 1
         logger.warning("extension chain failed (%s); using exhaustive fallback", exc)
-        if not _exhaustive_region(L, pc, cg, region.edges):
+        # the untruncated available lists, for maximum slack
+        edges = sorted(region.edges)
+        avail = {e: sorted(available(e, L, pc, cg)) for e in edges}
+        try:
+            chosen = exhaustive_search(edges, avail, cg, _FALLBACK_NODE_CAP)
+        except BudgetExceeded:
+            raise InternalInvariant("fallback search budget exhausted") from exc
+        if chosen is None:
             raise InternalInvariant(
                 f"fallback found no coloring for edges {region.edges}"
             ) from exc
+        for e in edges:
+            pc.set(e, chosen[e])
 
 
 # ---------------------------------------------------------------------------
@@ -885,15 +854,13 @@ def color_incidence(
     if g.max_degree() > 3:
         raise DegreeTooHigh(f"maximum degree {g.max_degree()} exceeds 3")
     sub = subdivide(g)
-    lists = {}
+    lists = sub.edge_lists(L)
     for inc, eid in sub.incidence_to_edge.items():
-        colors = frozenset(L.get(inc, ()))
-        if len(colors) < 6:
-            raise ListTooSmall(f"incidence {inc} has a list of size {len(colors)}, need 6")
-        lists[eid] = colors
+        if len(lists[eid]) < 6:
+            raise ListTooSmall(f"incidence {inc} has a list of size {len(lists[eid])}, need 6")
+    # color_strong_23 verifies its result, and incidence adjacency is strong
+    # adjacency in the subdivision, so the transported coloring needs no
+    # second check
     pc, stats = color_strong_23(sub.bipartite, ListAssignment(lists))
     coloring = {inc: pc.assigned[eid] for inc, eid in sub.incidence_to_edge.items()}
-    bad = verify_incidence(g, coloring, require_total=True)
-    if bad:
-        raise InternalInvariant(f"transported coloring invalid: {bad[:3]}")
     return coloring, stats

@@ -1,12 +1,24 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import strongcolor as sc
-from strongcolor import fileio
+from strongcolor import cli, fileio
 from strongcolor.graph import Incidence
+
+
+# the child process imports the same package as the tests, also when only
+# pytest's own `pythonpath` setting put it on sys.path
+CLI_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(sc.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+)
 
 
 def run_cli(*args):
@@ -14,6 +26,7 @@ def run_cli(*args):
         [sys.executable, "-m", "strongcolor", *map(str, args)],
         capture_output=True,
         text=True,
+        env=CLI_ENV,
     )
 
 
@@ -67,6 +80,14 @@ class TestListsAndColoringFiles:
         text = json.dumps({"format_version": 1, "lists": {key: [1, -2, 3]}})
         with pytest.raises(sc.FormatError):
             fileio.lists_from_text(text, incidence=incidence)
+
+    @pytest.mark.parametrize("incidence", [False, True])
+    def test_negative_coloring_rejected(self, incidence):
+        key = "0:0" if incidence else "0"
+        mode = "incidence" if incidence else "strong"
+        text = json.dumps({"format_version": 1, "mode": mode, "colors": {key: -1}})
+        with pytest.raises(sc.FormatError, match="negative color"):
+            fileio.coloring_from_text(text)
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(sc.FormatError):
@@ -239,6 +260,15 @@ class TestCliVerify:
         assert r.returncode == 1
         assert r.stdout == "uncolored (5,): edge 5 has no color\n"
 
+    @pytest.mark.parametrize("mode", ["strong", "incidence"])
+    def test_negative_colors_rejected(self, tmp_path, k23, mode):
+        gpath, cpath = self.make_colored(tmp_path, k23)
+        keys = k23.graph.incidences() if mode == "incidence" else range(6)
+        cpath.write_text(fileio.coloring_to_text({key: -1 for key in keys}, mode))
+        r = run_cli("verify", gpath, cpath)
+        assert r.returncode == 2
+        assert "negative color" in r.stderr and "Traceback" not in r.stderr
+
     def test_parse_error(self, tmp_path, k23):
         gpath, _ = self.make_colored(tmp_path, k23)
         bad = tmp_path / "bad.colors"
@@ -286,11 +316,9 @@ class TestCliOracle:
         assert r.returncode == 0 and "feasible" in r.stdout
 
     def test_budget_gate(self, tmp_path):
-        import os
-
         gpath = tmp_path / "big.graph"
         gpath.write_text(fileio.graph_to_text(sc.subdivide(sc.named("petersen")).bipartite))
-        env = dict(os.environ, STRONGCOLOR_ORACLE_MAX_EDGES="10")
+        env = dict(CLI_ENV, STRONGCOLOR_ORACLE_MAX_EDGES="10")
         r = subprocess.run(
             [sys.executable, "-m", "strongcolor", "oracle", str(gpath), "--uniform", "6"],
             capture_output=True,
@@ -298,6 +326,14 @@ class TestCliOracle:
             env=env,
         )
         assert r.returncode == 4
+
+    @pytest.mark.parametrize("var", ["STRONGCOLOR_ORACLE_MAX_EDGES", "STRONGCOLOR_ORACLE_MAX_NODES"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_budget_variable(self, k23_file, monkeypatch, capsys, var, value):
+        monkeypatch.setenv(var, value)
+        assert cli.main(["oracle", str(k23_file), "--uniform", "6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and var in err
 
     def test_partial_incidence_lists_infeasible(self, k4_partial_lists):
         gpath, lists_path = k4_partial_lists
@@ -329,6 +365,14 @@ class TestCliStress:
         b = run_cli("stress", "--count", 30, "--seed", 11, "--size", 10)
         strip = lambda s: s.stdout.rsplit(" wall=", 1)[0]
         assert strip(a) == strip(b)
+
+    @pytest.mark.parametrize("var", ["STRONGCOLOR_ORACLE_MAX_EDGES", "STRONGCOLOR_ORACLE_MAX_NODES"])
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_budget_variable(self, monkeypatch, capsys, var, value):
+        # the oracle cross-check reads the budget; a bad value is exit 2, not a failed instance
+        monkeypatch.setenv(var, value)
+        assert cli.main(["stress", "--count", "3", "--seed", "7", "--size", "8"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_cubic_family(self):
         r = run_cli("stress", "--count", 20, "--seed", 3, "--size", 10, "--family", "cubic")
