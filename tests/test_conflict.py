@@ -4,6 +4,7 @@ import strongcolor as sc
 from strongcolor import Incidence, ListAssignment, PartialColoring
 
 from conftest import brute_conflicts, rand_b23
+from test_golden import _generalized_petersen
 
 
 def path_graph(n):
@@ -48,10 +49,17 @@ class TestBuildConflictGraph:
         assert all(len(cg[e]) == 5 for e in range(6))
 
     def test_symmetry_and_bound_on_corpus(self):
-        for seed in range(150):
-            b = rand_b23(2 + seed % 9, 2 + seed % 7, seed)
+        corpus = [rand_b23(2 + seed % 9, 2 + seed % 7, seed) for seed in range(150)]
+        for name in sc.fixture_names():
+            g = sc.named(name)
+            if isinstance(g, sc.Multigraph):  # parallel edges included
+                corpus.append(sc.subdivide(g).bipartite)
+        for n, k in ((5, 2), (7, 3), (12, 5), (13, 5)):
+            corpus.append(sc.subdivide(_generalized_petersen(n, k)).bipartite)
+        for b in corpus:
             cg = sc.build_conflict_graph(b)
             for e in range(b.graph.edge_count):
+                assert set(cg[e]) == brute_conflicts(b, e)
                 assert len(cg[e]) <= 7
                 for f in cg[e]:
                     assert e in cg[f]
