@@ -194,10 +194,8 @@ def _cmd_stress(args) -> int:
                 b = random_23_bipartite(args.size, nb, graph_seed)
             m = b.graph.edge_count
             L = random_lists(range(m), args.k, args.palette, lists_seed)
-            pc, one = color_strong_23(b, L)
+            _, one = color_strong_23(b, L)  # verifies its own result
             stats.merge(one)
-            if verify_strong(b, L, pc, require_total=True):
-                continue
             if m <= 16 and backtrack_color(b, L, budget) is None:
                 continue
             ok += 1

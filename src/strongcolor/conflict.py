@@ -82,29 +82,28 @@ class ConflictGraph:
 
 
 def conflict_edges(b: BipartiteGraph, e: int) -> set:
-    """All edges f != e sharing an endpoint with e or joined to e by a third edge."""
-    g = b.graph
-    u, v = g.endpoints(e)  # raises BadEdgeId
-    out = set()
-    for endpoint in (u, v):
-        for eid, w in g.adj[endpoint]:
-            if eid != e:
-                out.add(eid)
-            # edges at the far end of any edge leaving e are joined to e by it
-            for fid, _ in g.adj[w]:
-                if fid != e and fid != eid:
-                    out.add(fid)
+    """All edges f != e sharing an endpoint with e or joined to e by a third edge.
+
+    The walk collects every edge at the far end w of an edge g at an
+    endpoint of e, so f is found exactly when some edge g (possibly e or f
+    itself) meets both e and f.  That condition is symmetric in e and f,
+    so the relation needs no symmetry check.
+    """
+    adj = b.graph.adj
+    out = {
+        fid
+        for endpoint in b.graph.endpoints(e)  # raises BadEdgeId
+        for _, w in adj[endpoint]
+        for fid, _ in adj[w]
+    }
     out.discard(e)
     return out
 
 
 def build_conflict_graph(b: BipartiteGraph) -> ConflictGraph:
-    sets = [conflict_edges(b, e) for e in range(b.graph.edge_count)]
-    for e, cs in enumerate(sets):
-        for f in cs:
-            if e not in sets[f]:
-                raise AssertionError(f"conflict relation not symmetric on ({e}, {f})")
-    return ConflictGraph(tuple(tuple(sorted(cs)) for cs in sets))
+    return ConflictGraph(
+        tuple(tuple(sorted(conflict_edges(b, e))) for e in range(b.graph.edge_count))
+    )
 
 
 def available(

@@ -34,6 +34,13 @@ def _load(text: str) -> dict:
     return doc
 
 
+def _int(value, what: str) -> int:
+    """``value`` itself if it is a JSON integer; floats and booleans are rejected."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 # -- graphs ------------------------------------------------------------------
 
 
@@ -62,10 +69,12 @@ def graph_from_text(text: str) -> Union[Multigraph, BipartiteGraph]:
     if kind not in ("multigraph", "bipartite"):
         raise FormatError(f"unknown graph kind {kind!r}")
     try:
-        n = int(doc["vertex_count"])
-        pairs = [(int(u), int(v)) for u, v in doc["edges"]]
+        n = _int(doc["vertex_count"], "vertex_count")
+        pairs = [(_int(u, "an endpoint"), _int(v, "an endpoint")) for u, v in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed graph document: {exc}") from exc
+    if n < 0:
+        raise FormatError(f"vertex_count must be non-negative, got {n}")
     try:
         g = build_multigraph(n, pairs)
     except InputError as exc:
@@ -73,8 +82,8 @@ def graph_from_text(text: str) -> Union[Multigraph, BipartiteGraph]:
     if kind == "multigraph":
         return g
     try:
-        part_a = {int(v) for v in doc["parts"]["A"]}
-        part_b = {int(v) for v in doc["parts"]["B"]}
+        part_a = {_int(v, "a part vertex") for v in doc["parts"]["A"]}
+        part_b = {_int(v, "a part vertex") for v in doc["parts"]["B"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed parts: {exc}") from exc
     if part_a | part_b != set(range(n)) or part_a & part_b:
@@ -109,7 +118,9 @@ def lists_from_text(text: str, incidence: bool = False):
         raise FormatError("missing lists object")
     try:
         keyed = {
-            (_key_to_incidence(k) if incidence else int(k)): frozenset(int(c) for c in v)
+            (_key_to_incidence(k) if incidence else int(k)): frozenset(
+                _int(c, "a color") for c in v
+            )
             for k, v in body.items()
         }
     except (TypeError, ValueError) as exc:
@@ -143,7 +154,7 @@ def coloring_from_text(text: str) -> Tuple[str, Dict]:
         raise FormatError("missing colors object")
     key = _key_to_incidence if mode == "incidence" else int
     try:
-        colors = {key(k): int(c) for k, c in body.items()}
+        colors = {key(k): _int(c, "a color") for k, c in body.items()}
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed colors: {exc}") from exc
     for k, c in colors.items():

@@ -135,11 +135,10 @@ def peel_step(b: BipartiteGraph, state: PeelState) -> Optional[int]:
 
 def greedy_unwind(
     stack: list,
-    b: BipartiteGraph,
     L: ListAssignment,
     pc: PartialColoring,
-    cg: Optional[ConflictGraph] = None,
-    stats: Optional[SolveStats] = None,
+    cg: ConflictGraph,
+    stats: SolveStats,
 ) -> PartialColoring:
     """Pop the peel stack LIFO and color each entry.
 
@@ -148,12 +147,11 @@ def greedy_unwind(
     peeled from, and only those edges are colored when it is popped.  A
     carved ``CycleDescriptor`` goes to the extension for its length.
     """
-    cg = cg or build_conflict_graph(b)
     while stack:
         item = stack.pop()
         if isinstance(item, CycleDescriptor):
             extend = {4: extend_c4, 6: extend_c6}.get(len(item), extend_long_cycle)
-            extend(b, L, pc, item, cg=cg, stats=stats)
+            extend(L, pc, item, cg, stats)
             continue
         avail = available(item, L, pc, cg)
         if not avail:
@@ -196,15 +194,13 @@ class FivePathConfig:
 
 
 def precolor_five_path(
-    b: BipartiteGraph,
     L: ListAssignment,
     pc: PartialColoring,
     cfg: FivePathConfig,
-    cg: Optional[ConflictGraph] = None,
-    stats: Optional[SolveStats] = None,
+    cg: ConflictGraph,
+    stats: SolveStats,
 ) -> PartialColoring:
     """Color uv, vz, xy, xt so the middle edges keep |L(vw)| >= 3, |L(wx)| >= 2."""
-    cg = cg or build_conflict_graph(b)
     region = _path_region(L, pc, cg, {cfg.edge_ids[r]: k for r, k in _FIVE_SIZES.items()})
     uv, vw, wx, xy, vz, xt = (cfg.edge_ids[r] for r in _FIVE_ROLES)
     avail = region.avail
@@ -411,15 +407,13 @@ def _odd_reduce(region: _Region, cfg: OddPathConfig, lo: int, shape: str) -> Non
 
 
 def color_odd_path(
-    b: BipartiteGraph,
     L: ListAssignment,
     pc: PartialColoring,
     cfg: OddPathConfig,
-    cg: Optional[ConflictGraph] = None,
-    stats: Optional[SolveStats] = None,
+    cg: ConflictGraph,
+    stats: SolveStats,
 ) -> PartialColoring:
     """Totally color the configuration."""
-    cg = cg or build_conflict_graph(b)
     n = cfg.n
     sizes = {cfg.edge_for(r): k for r, k in _odd_required_sizes(n).items()}
     region = _path_region(L, pc, cg, sizes)
@@ -476,9 +470,8 @@ class _Region:
     def common(self, e: int, f: int) -> set:
         return self.avail[e] & self.avail[f]
 
-    def sdr(self, edge_ids: Sequence[int], stats: Optional[SolveStats]) -> None:
-        if stats is not None:
-            stats.sdr_calls += 1
+    def sdr(self, edge_ids: Sequence[int], stats: SolveStats) -> None:
+        stats.sdr_calls += 1
         p = SdrProblem(tuple(edge_ids), {e: frozenset(self.avail[e]) for e in edge_ids})
         chosen = rainbow_sdr(p)
         if chosen is None:
@@ -529,23 +522,29 @@ def _run_with_fallback(L, pc, cg, stats, region, chain) -> None:
 
 
 def extend_c4(
-    b: BipartiteGraph,
     L: ListAssignment,
     pc: PartialColoring,
     cycle: CycleDescriptor,
-    cg: Optional[ConflictGraph] = None,
-    stats: Optional[SolveStats] = None,
+    cg: ConflictGraph,
+    stats: SolveStats,
 ) -> PartialColoring:
     """Color the six uncolored edges around a shortest 4-cycle u-v-w-x.
 
     If the pendant neighbors of v and x coincide the component is exactly
     K_{2,3}: all six lists are intact 6-lists and a rainbow choice always
-    exists.  Otherwise either the two pendant lists jointly hold 6 colors
-    (rainbow choice by Hall) or they share a color, which colors both
-    pendants at the price of one color per cycle edge.
+    exists.  Otherwise the lists are cut to 3 on the pendants and 5 on the
+    cycle edges, and one of two cases holds; neither can fail, so there is
+    no fallback:
+
+    * the two pendant lists jointly hold 6 colors: Hall's condition holds
+      for all six edges (a set of at most 5 edges with a cycle edge has
+      its 5 colors, a set of pendants alone has 3, and all six together
+      see the pendants' 6), so a rainbow choice exists;
+    * otherwise the two 3-lists share a color, given to both pendants.
+      That one color costs each cycle edge at most one of its 5, and the
+      four cycle edges pairwise conflict, so greedy leaves them at least
+      4, 3, 2 and 1 colors in turn.
     """
-    cg = cg or build_conflict_graph(b)
-    stats = stats if stats is not None else SolveStats()
     u, v, w, x = cycle.vertices
     e_uv, e_vw, e_wx, e_xu = cycle.edges
     if v not in cycle.pendant or x not in cycle.pendant:
@@ -564,23 +563,19 @@ def extend_c4(
         return pc
 
     stats.c4_extensions += 1
-
-    def chain(region: _Region) -> None:
-        for e in (e_vp, e_xp):
-            region.truncate(e, 3)
+    for e in (e_vp, e_xp):
+        region.truncate(e, 3)
+    for e in (e_uv, e_vw, e_wx, e_xu):
+        region.truncate(e, 5)
+    if len(region.avail[e_vp] | region.avail[e_xp]) >= 6:
+        region.sdr(edge_ids, stats)
+    else:
+        # |union| <= 5 with two 3-lists forces a shared color
+        alpha = min(region.avail[e_vp] & region.avail[e_xp])
+        region.assign(e_vp, alpha)
+        region.assign(e_xp, alpha)
         for e in (e_uv, e_vw, e_wx, e_xu):
-            region.truncate(e, 5)
-        if len(region.avail[e_vp] | region.avail[e_xp]) >= 6:
-            region.sdr(edge_ids, stats)
-        else:
-            # |union| <= 5 with two 3-lists forces a shared color
-            alpha = min(region.avail[e_vp] & region.avail[e_xp])
-            region.assign(e_vp, alpha)
-            region.assign(e_xp, alpha)
-            for e in (e_uv, e_vw, e_wx, e_xu):
-                region.assign_min(e)
-
-    _run_with_fallback(L, pc, cg, stats, region, chain)
+            region.assign_min(e)
     return pc
 
 
@@ -674,16 +669,13 @@ def _c6_equal_pendants(region: _Region, f: _C6Frame) -> None:
 
 
 def extend_c6(
-    b: BipartiteGraph,
     L: ListAssignment,
     pc: PartialColoring,
     cycle: CycleDescriptor,
-    cg: Optional[ConflictGraph] = None,
-    stats: Optional[SolveStats] = None,
+    cg: ConflictGraph,
+    stats: SolveStats,
 ) -> PartialColoring:
     """Color the nine uncolored edges around a shortest 6-cycle."""
-    cg = cg or build_conflict_graph(b)
-    stats = stats if stats is not None else SolveStats()
     frames = [_c6_frame(cycle, r) for r in range(3)]
     f0 = frames[0]
     edge_ids = [f0.uv, f0.vw, f0.wx, f0.xy, f0.yz, f0.zu, f0.up, f0.wp, f0.yp]
@@ -713,12 +705,11 @@ def extend_c6(
 
 
 def extend_long_cycle(
-    b: BipartiteGraph,
     L: ListAssignment,
     pc: PartialColoring,
     cycle: CycleDescriptor,
-    cg: Optional[ConflictGraph] = None,
-    stats: Optional[SolveStats] = None,
+    cg: ConflictGraph,
+    stats: SolveStats,
 ) -> PartialColoring:
     """Color the 3n/2 uncolored edges around a shortest cycle of length >= 8.
 
@@ -727,8 +718,6 @@ def extend_long_cycle(
     middle edges of the stretch.  No fallback: the path procedures are
     guaranteed to succeed at their entry sizes.
     """
-    cg = cg or build_conflict_graph(b)
-    stats = stats if stats is not None else SolveStats()
     d = cycle.vertices
     ce = cycle.edges
     n = len(d)
@@ -759,7 +748,7 @@ def extend_long_cycle(
             "xt": pend_edge[3],
         },
     )
-    precolor_five_path(b, L, pc, cfg1, cg, stats)
+    precolor_five_path(L, pc, cfg1, cg, stats)
 
     # step 2: odd path v5, v6, ..., vn, v1 with pendants at v6, v8, ..., vn
     n2 = n - 3
@@ -768,7 +757,7 @@ def extend_long_cycle(
     pendant_vertices = {k: pend_vertex[3 + k] for k in range(2, n2, 2)}
     pendant_edges = {k: pend_edge[3 + k] for k in range(2, n2, 2)}
     cfg2 = OddPathConfig(path_vertices, pendant_vertices, path_edges, pendant_edges)
-    color_odd_path(b, L, pc, cfg2, cg, stats)
+    color_odd_path(L, pc, cfg2, cg, stats)
 
     # step 3: the two remaining middle edges of the seed, narrowed by steps 1-2
     for e in (ce[1], ce[2]):
@@ -808,7 +797,7 @@ def _solve_component(b, L, cg, comp, alive, deg, pc, stats) -> None:
                 if alive[eid]:
                     _remove_edge(b, alive, deg, heap, eid)
         state.stack.append(desc)
-    greedy_unwind(state.stack, b, L, pc, cg, stats)
+    greedy_unwind(state.stack, L, pc, cg, stats)
 
 
 def color_strong_23(

@@ -106,7 +106,7 @@ def test_criterion_5_path_procedure_suites():
         lists = {r: frozenset(rng.subset(five_sizes[r], palette)) for r in _FIVE_ROLES}
         cfg = sc.FivePathConfig.standalone()
         L = ListAssignment({cfg.edge_ids[r]: lists[r] for r in _FIVE_ROLES})
-        pc = sc.precolor_five_path(b5, L, sc.PartialColoring(), cfg, cg5)
+        pc = sc.precolor_five_path(L, sc.PartialColoring(), cfg, cg5, sc.SolveStats())
         assert sc.verify_strong(b5, L, pc, cg=cg5) == []
         assert len(sc.available(cfg.edge_ids["vw"], L, pc, cg5)) >= 3
         assert len(sc.available(cfg.edge_ids["wx"], L, pc, cg5)) >= 2
@@ -121,7 +121,7 @@ def test_criterion_5_path_procedure_suites():
             lists = {role: frozenset(rng.subset(k, palette)) for role, k in req.items()}
             cfg = sc.OddPathConfig.standalone(n)
             L = ListAssignment({cfg.edge_for(r): lists[r] for r in req})
-            pc = sc.color_odd_path(bn, L, sc.PartialColoring(), cfg, cgn)
+            pc = sc.color_odd_path(L, sc.PartialColoring(), cfg, cgn, sc.SolveStats())
             assert len(pc.assigned) == len(req)
             assert sc.verify_strong(bn, L, pc, require_total=True, cg=cgn) == []
         _report(5, f"odd-path coloring n={n}: 10000/10000 draws valid")

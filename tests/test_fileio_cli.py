@@ -65,6 +65,29 @@ class TestGraphFiles:
         with pytest.raises(sc.FormatError):
             fileio.graph_from_text(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("vertex_count", 4.9),
+            ("vertex_count", True),
+            ("vertex_count", "4"),
+            ("vertex_count", -3),
+            ("edges", [[0.2, 1], [1, 2]]),
+            ("edges", [[0, 1], [1, 2.0]]),
+        ],
+    )
+    def test_only_json_integers(self, field, value):
+        doc = {"format_version": 1, "kind": "multigraph", "vertex_count": 4, "edges": []}
+        doc[field] = value
+        with pytest.raises(sc.FormatError):
+            fileio.graph_from_text(json.dumps(doc))
+
+    def test_part_vertices_must_be_integers(self, k23):
+        doc = json.loads(fileio.graph_to_text(k23))
+        doc["parts"]["A"][0] = 0.0
+        with pytest.raises(sc.FormatError):
+            fileio.graph_from_text(json.dumps(doc))
+
 
 class TestListsAndColoringFiles:
     def test_lists_round_trip(self):
@@ -80,6 +103,22 @@ class TestListsAndColoringFiles:
         text = json.dumps({"format_version": 1, "lists": {key: [1, -2, 3]}})
         with pytest.raises(sc.FormatError):
             fileio.lists_from_text(text, incidence=incidence)
+
+    @pytest.mark.parametrize("incidence", [False, True])
+    @pytest.mark.parametrize("color", [1.9, "2", True])
+    def test_non_integer_list_color_rejected(self, incidence, color):
+        key = "0:0" if incidence else "0"
+        text = json.dumps({"format_version": 1, "lists": {key: [color, 3, 4]}})
+        with pytest.raises(sc.FormatError, match="must be an integer"):
+            fileio.lists_from_text(text, incidence=incidence)
+
+    @pytest.mark.parametrize("incidence", [False, True])
+    def test_non_integer_coloring_rejected(self, incidence):
+        key = "0:0" if incidence else "0"
+        mode = "incidence" if incidence else "strong"
+        text = json.dumps({"format_version": 1, "mode": mode, "colors": {key: 1.5}})
+        with pytest.raises(sc.FormatError, match="must be an integer"):
+            fileio.coloring_from_text(text)
 
     @pytest.mark.parametrize("incidence", [False, True])
     def test_negative_coloring_rejected(self, incidence):
@@ -181,6 +220,15 @@ class TestCliColor:
         bad.write_text("{broken")
         assert run_cli("color", bad, "--uniform", 6).returncode == 2
 
+    def test_negative_vertex_count(self, tmp_path):
+        bad = tmp_path / "bad.graph"
+        bad.write_text(json.dumps(
+            {"format_version": 1, "kind": "multigraph", "vertex_count": -3, "edges": []}
+        ))
+        r = run_cli("color", bad, "--uniform", 6)
+        assert r.returncode == 2
+        assert "vertex_count must be non-negative" in r.stderr
+
     def test_lists_file_input(self, tmp_path, k23_file):
         lists_path = tmp_path / "lists.json"
         L = sc.random_lists(range(6), 6, 12, 11)
@@ -268,6 +316,16 @@ class TestCliVerify:
         r = run_cli("verify", gpath, cpath)
         assert r.returncode == 2
         assert "negative color" in r.stderr and "Traceback" not in r.stderr
+
+    def test_fractional_colors_rejected(self, tmp_path, k23):
+        # every color shifted by +0.5 is still a proper coloring, but not of integers
+        gpath, cpath = self.make_colored(tmp_path, k23)
+        doc = json.loads(cpath.read_text())
+        doc["colors"] = {k: c + 0.5 for k, c in doc["colors"].items()}
+        cpath.write_text(json.dumps(doc))
+        r = run_cli("verify", gpath, cpath)
+        assert r.returncode == 2
+        assert "must be an integer" in r.stderr and "Traceback" not in r.stderr
 
     def test_parse_error(self, tmp_path, k23):
         gpath, _ = self.make_colored(tmp_path, k23)

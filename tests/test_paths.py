@@ -7,7 +7,13 @@ graph, not against the procedure's own bookkeeping.
 import pytest
 
 import strongcolor as sc
-from strongcolor import FivePathConfig, OddPathConfig, ListAssignment, PartialColoring
+from strongcolor import (
+    FivePathConfig,
+    ListAssignment,
+    OddPathConfig,
+    PartialColoring,
+    SolveStats,
+)
 from strongcolor.generate import SplitMix64
 from strongcolor.solver import _FIVE_ROLES, _odd_required_sizes
 
@@ -21,7 +27,8 @@ def run_five_path(lists_by_role):
     """Assignments of ``precolor_five_path`` on the standalone gadget, in order."""
     cfg = FivePathConfig.standalone()
     L = ListAssignment({cfg.edge_ids[r]: frozenset(lists_by_role[r]) for r in _FIVE_ROLES})
-    pc = sc.precolor_five_path(five_path_graph(), L, PartialColoring(), cfg)
+    cg = sc.build_conflict_graph(five_path_graph())
+    pc = sc.precolor_five_path(L, PartialColoring(), cfg, cg, SolveStats())
     return list(pc.assigned.items())
 
 
@@ -123,7 +130,7 @@ class TestPrecolorFivePath:
             palette = 6 + rng.below(3)
             L = sc.random_lists(range(b.graph.edge_count), 6, palette, rng.next_u64())
             pc = PartialColoring({7: min(L[7]), 4: max(L[4] - {min(L[7])})})
-            sc.precolor_five_path(b, L, pc, cfg, cg)
+            sc.precolor_five_path(L, pc, cfg, cg, SolveStats())
             assert sorted(pc.assigned) == [0, 3, 4, 7, 8, 9]
             assert sc.verify_strong(b, L, pc, cg=cg) == []
             assert len(sc.available(1, L, pc, cg)) >= 3
@@ -134,7 +141,8 @@ def run_odd_path(n, lists_by_role):
     """Assignments of ``color_odd_path`` on the standalone gadget, in order."""
     cfg = OddPathConfig.standalone(n)
     L = ListAssignment({cfg.edge_for(r): frozenset(cs) for r, cs in lists_by_role.items()})
-    pc = sc.color_odd_path(odd_path_graph(n), L, PartialColoring(), cfg)
+    cg = sc.build_conflict_graph(odd_path_graph(n))
+    pc = sc.color_odd_path(L, PartialColoring(), cfg, cg, SolveStats())
     return list(pc.assigned.items())
 
 

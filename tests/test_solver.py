@@ -37,7 +37,8 @@ class TestGreedyUnwind:
         state = PeelState.for_graph(b)
         while sc.peel_step(b, state) is not None:
             pass
-        pc = sc.greedy_unwind(state.stack, b, L, PartialColoring())
+        cg = sc.build_conflict_graph(b)
+        pc = sc.greedy_unwind(state.stack, L, PartialColoring(), cg, SolveStats())
         assert_valid_strong(b, L, pc)
         assert min(pc.assigned.values()) == 1
 
@@ -47,7 +48,8 @@ class TestGreedyUnwind:
         state = PeelState.for_graph(b)
         while sc.peel_step(b, state) is not None:
             pass
-        pc = sc.greedy_unwind(state.stack, b, L, PartialColoring())
+        cg = sc.build_conflict_graph(b)
+        pc = sc.greedy_unwind(state.stack, L, PartialColoring(), cg, SolveStats())
         assert_valid_strong(b, L, pc)
 
     def test_a_rule_edges_keep_two_colors(self):
@@ -110,7 +112,7 @@ class TestExtendC4:
     def run(self, L):
         pc = PartialColoring()
         stats = SolveStats()
-        sc.extend_c4(self.b, L, pc, self.cycle, cg=self.cg, stats=stats)
+        sc.extend_c4(L, pc, self.cycle, self.cg, stats)
         assert_valid_strong(self.b, L, pc)
         assert len(pc.assigned) == 6
         return pc, stats
@@ -146,7 +148,7 @@ class TestExtendC4Coincident:
         L = ListAssignment.uniform(range(6), 6)
         pc = PartialColoring()
         stats = SolveStats()
-        sc.extend_c4(k23, L, pc, cycle, stats=stats)
+        sc.extend_c4(L, pc, cycle, sc.build_conflict_graph(k23), stats)
         assert_valid_strong(k23, L, pc, total=True)
         assert sorted(pc.assigned.values()) == [1, 2, 3, 4, 5, 6]
         assert stats.k23_base_cases == 1 and stats.c4_extensions == 0
@@ -162,7 +164,7 @@ class TestExtendC6:
         L = _c6_lists(self.b, by_role)
         pc = PartialColoring()
         stats = SolveStats()
-        sc.extend_c6(self.b, L, pc, self.cycle, cg=self.cg, stats=stats)
+        sc.extend_c6(L, pc, self.cycle, self.cg, stats)
         assert_valid_strong(self.b, L, pc)
         assert len(pc.assigned) == 9
         assert stats.fallback_uses == expect_fallback
@@ -338,7 +340,7 @@ class TestExtendLongCycle:
             L = ListAssignment({e: frozenset(rng.subset(k, palette)) for e, k in sizes.items()})
             pc = PartialColoring()
             stats = SolveStats()
-            sc.extend_long_cycle(b, L, pc, cycle, cg=cg, stats=stats)
+            sc.extend_long_cycle(L, pc, cycle, cg, stats)
             assert_valid_strong(b, L, pc, total=True)
             assert stats.fallback_uses == 0
 
@@ -347,7 +349,9 @@ class TestExtendLongCycle:
         cycle = sc.shortest_cycle(b)
         L = ListAssignment.uniform(range(9), 6)
         with pytest.raises(sc.InternalInvariant):
-            sc.extend_long_cycle(b, L, PartialColoring(), cycle)
+            sc.extend_long_cycle(
+                L, PartialColoring(), cycle, sc.build_conflict_graph(b), SolveStats()
+            )
 
 
 class TestColorStrong23:
