@@ -294,6 +294,12 @@ def _random_residue(b, rng):
     return alive, deg
 
 
+def _permuted(vertices, rng):
+    out = list(vertices)
+    rng.shuffle(out)
+    return out
+
+
 def _assert_scan_matches(b, alive, deg, order):
     got = _residual_shortest_cycle(b, alive, deg, order)
     want = _reference_scan(b, alive, deg, order)
@@ -352,3 +358,42 @@ class TestScanEquivalence:
             alive, deg = _random_residue(b, rng)
             for comp in sc.components(b.graph):
                 _assert_scan_matches(b, alive, deg, comp)
+
+    def test_deep_girth_generalized_petersen(self):
+        """Subdivided GP(n, k) with n in 20-80 have girth 8-16, so the cap
+        prunes several BFS levels; each graph is scanned whole and as a
+        residue, in id order and in a random order of its vertices."""
+        rng = SplitMix64(20261021)
+        whole_girths = set()
+        for _ in range(40):
+            n = 20 + rng.below(61)
+            b = sc.subdivide(_generalized_petersen(n, 1 + rng.below(n // 2 - 1))).bipartite
+            g = b.graph
+            ids = range(g.vertex_count)
+            full = [True] * g.edge_count
+            degrees = [g.degree(v) for v in ids]
+            whole_girths.add(_reference_scan(b, full, degrees, ids)[0])
+            for alive, deg in ((full, degrees), _random_residue(b, rng)):
+                _assert_scan_matches(b, alive, deg, ids)
+                _assert_scan_matches(b, alive, deg, _permuted(ids, rng))
+        assert {12, 14, 16} <= whole_girths
+
+    def test_permuted_orders(self):
+        """The scan works on positions in ``vertex_order``, not on ids."""
+        rng = SplitMix64(20261022)
+        hits = 0
+        for _ in range(200):
+            b = sc.subdivide(_scan_corpus_graph(rng)).bipartite
+            g = b.graph
+            full = [True] * g.edge_count
+            _assert_scan_matches(b, full, [g.degree(v) for v in range(g.vertex_count)],
+                                 _permuted(range(g.vertex_count), rng))
+            alive, deg = _random_residue(b, rng)
+            hits += _assert_scan_matches(b, alive, deg, _permuted(range(g.vertex_count), rng))
+        assert hits > 100
+        for _ in range(20):
+            b = _union([sc.subdivide(_scan_corpus_graph(rng)).bipartite
+                        for _ in range(2 + rng.below(4))])
+            alive, deg = _random_residue(b, rng)
+            for comp in sc.components(b.graph):
+                _assert_scan_matches(b, alive, deg, _permuted(comp, rng))
