@@ -338,16 +338,45 @@ def _residual_shortest_cycle(b: BipartiteGraph, alive, deg, vertex_order):
     minimum length wins.  ``vertex_order`` must hold every vertex that an
     alive edge joins to one of its vertices (a union of components).
 
-    The result equals that of a BFS from every start.  Before the first
-    start s* lying on a shortest cycle, every candidate is a real cycle
-    longer than the girth g, so at s* the cap is at least g/2 and s*
-    returns a girth cycle; every later start finds nothing under the cap.
-    Only s* matters, so starts that can never be s* are skipped:
+    The result equals that of a BFS from every start (Itai & Rodeh), as
+    ``_cycle_through`` runs it, but that BFS runs from one start only.
+    First each start s runs a length-only BFS that enters only positions
+    after s.  When a vertex u at level d meets an already-discovered
+    vertex w that is not its parent, the BFS reports 2(d + 1): edges of a
+    bipartite graph join adjacent levels, and a w at level d - 1 would
+    have reported on u when it was popped, so w sits at level d + 1 and
+    closes a walk of that length.  Then the first start s* to report the
+    minimum g is replayed.  Four facts make this exact:
 
-    - a degree-2 start with an alive neighbour earlier in the order, since
-      every cycle through it also passes through that neighbour;
-    - everything after a 4-cycle, as a simple bipartite graph has no
-      shorter one.
+    - Every cycle C lies inside the restricted BFS of its lowest vertex s,
+      as all its vertices come after s.  Were all levels below |C|/2
+      popped without a report, every edge met would be a tree edge; each
+      edge of C has an end at such a level, so C would lie in the tree.
+      So s reports at most |C| when its cap lets it pop those levels.
+    - A report is two tree paths from s that first part at some x, closed
+      by one edge.  If x = s it is a cycle through s.  Otherwise the walk
+      strictly contains a shorter cycle through x, whose vertices all come
+      after s.  So every report is at least the girth g, a report of
+      exactly g is a girth cycle through s, and by the first fact the
+      minimum over all starts is g.
+    - Let s* be the first vertex of the order on a girth cycle.  Every
+      vertex of a girth cycle through s* comes at or after s*, so s*
+      reports g, and by the second fact every earlier start reports more.
+      So s* is the first start to report g.  A start with fewer than two
+      alive neighbours after it reports no cycle through itself and is
+      skipped; s* has two on its girth cycle.
+    - ``_cycle_through`` from s* meets no candidate before level g/2, as
+      it would close a walk shorter than g, and its cap only keeps deeper
+      levels out of the queue.  So the BFS order up to level g/2, and with
+      it the first candidate, is the same for every cap >= g/2.  A BFS
+      from every start reaches s* with a cap of at least g/2 and keeps
+      that candidate, whose tree paths cannot overlap without holding a
+      cycle shorter than g; the replay with cap g/2 returns it.
+
+    Only a report below the current best can win, so each BFS pops only
+    levels d with 2(d + 1) < best, and the scan stops at a 4-cycle, as a
+    simple bipartite graph has no shorter one.  Before s* the best exceeds
+    g, so s* still pops every level below g/2.
     """
     g = b.graph
     order = [v for v in vertex_order if deg[v]]
@@ -355,18 +384,41 @@ def _residual_shortest_cycle(b: BipartiteGraph, alive, deg, vertex_order):
     nbrs = [[pos[w] for eid, w in g.adj[v] if alive[eid]] for v in order]
     dist = [-1] * len(order)
     parent = [-1] * len(order)
-    best = None
-    for i, s in enumerate(order):
-        d = deg[s]
-        if d < 2 or (d == 2 and min(nbrs[i]) < i):
+    best, first = len(order) + 2, -1
+    for s, ns in enumerate(nbrs):
+        if len([w for w in ns if w > s]) < 2:
             continue
-        cap = (best[0] - 2) // 2 if best is not None else len(order)
-        hit = _cycle_through(i, nbrs, dist, parent, cap)
-        if hit is not None and (best is None or hit[0] < best[0]):
-            best = (hit[0], tuple(order[x] for x in hit[1]))
-            if best[0] == 4:
+        cap = (best - 2) // 2
+        dist[s] = 0
+        queue = [s]
+        found = 0
+        for u in queue:
+            du = dist[u] + 1
+            if du > cap:
                 break
-    return best
+            for w in nbrs[u]:
+                if w > s:
+                    dw = dist[w]
+                    if dw < 0:
+                        dist[w] = du
+                        queue.append(w)
+                    elif dw == du:
+                        found = du
+                        break
+            if found:
+                break
+        for v in queue:
+            dist[v] = -1
+        if found:
+            best, first = 2 * found, s
+            if best == 4:
+                break
+    if first < 0:
+        return None
+    hit = _cycle_through(first, nbrs, dist, parent, best // 2)
+    if hit is None or hit[0] != best:
+        raise InternalInvariant(f"no {best}-cycle through the first start that reported one")
+    return best, tuple(order[x] for x in hit[1])
 
 
 def _descriptor_from_cycle(b: BipartiteGraph, cyc, alive) -> CycleDescriptor:
