@@ -295,12 +295,11 @@ def _cycle_through(start, nbrs, dist, parent, cap):
     candidate only on non-tree edges pointing one level down, so
     candidates seen while popping level d close cycles of length exactly
     2d and the first one found is minimal through ``start``.  Levels beyond
-    ``cap`` cannot improve on the caller's current best and never enter
-    the queue.
+    ``cap`` never enter the queue.
     If the two tree paths of the first candidate overlap, the closed walk
-    strictly contains a shorter cycle, which some other start will find, so
-    the candidate is dropped.  Without parallel edges, "not the tree edge
-    of u" is "not the parent of u".
+    strictly contains a shorter cycle, so the candidate is dropped and the
+    result is None.  Without parallel edges, "not the tree edge of u" is
+    "not the parent of u".
     """
     dist[start] = 0
     parent[start] = -1
