@@ -8,6 +8,8 @@ invalid coloring, infeasible instance, or a stress run below 100%;
 The oracle budget can be overridden with the environment variables
 STRONGCOLOR_ORACLE_MAX_EDGES and STRONGCOLOR_ORACLE_MAX_NODES, each a
 positive integer; any other value is a malformed argument (exit 2).
+``--uniform K`` allocates the palette {1..K}, so K above
+``MAX_UNIFORM_COLORS`` is a malformed argument too.
 """
 
 from __future__ import annotations
@@ -49,6 +51,19 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 EXIT_BUDGET = 4
+
+MAX_UNIFORM_COLORS = 1024
+
+
+def _uniform_colors(text: str) -> int:
+    """The K of ``--uniform K``, checked before any palette is built."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"K must be an integer, got {text!r}") from None
+    if k > MAX_UNIFORM_COLORS:
+        raise argparse.ArgumentTypeError(f"K must be at most {MAX_UNIFORM_COLORS}, got {k}")
+    return k
 
 
 def _oracle_budget() -> OracleBudget:
@@ -226,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lists", help="lists file")
-    group.add_argument("--uniform", type=int, help="identical lists {1..K}", metavar="K")
+    group.add_argument("--uniform", type=_uniform_colors, metavar="K",
+                       help=f"identical lists {{1..K}}, K <= {MAX_UNIFORM_COLORS}")
     p.add_argument("--mode", choices=("strong", "incidence"), default="strong")
     p.add_argument("--out", default="-")
     p.add_argument("--stats", action="store_true", help="print solve counters as JSON to stderr")
@@ -251,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lists")
-    group.add_argument("--uniform", type=int, metavar="K")
+    group.add_argument("--uniform", type=_uniform_colors, metavar="K")
     group.add_argument("--min-colors", action="store_true")
     p.add_argument("--mode", choices=("strong", "incidence"), default="strong")
     p.set_defaults(func=_cmd_oracle)

@@ -4,11 +4,17 @@ One self-describing JSON family, written canonically (sorted keys, two
 space indent, trailing newline) so files are line-diffable and byte-stable
 under read-then-write round-trips.  Incidence keys are "v:e" strings to
 avoid ambiguous pair encodings.
+
+Reading is strict: every key is a canonical decimal integer (or two joined
+by ":"), no object repeats a key, and a graph has at most
+``MAX_VERTEX_COUNT`` vertices, so one short line cannot make the reader
+allocate without bound.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Dict, Mapping, Tuple, Union
 
 from .conflict import ListAssignment
@@ -17,14 +23,32 @@ from .graph import PART_A, PART_B, BipartiteGraph, Incidence, Multigraph, build_
 
 FORMAT_VERSION = 1
 
+# Well above the 250,000 vertices of a subdivided 100,000-vertex cubic graph.
+MAX_VERTEX_COUNT = 1_000_000
+
+_EDGE_KEY = re.compile(r"0|[1-9][0-9]*")
+_INCIDENCE_KEY = re.compile(r"(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
+
 
 def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key is a format error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"key {key!r} appears twice in one object")
+            seen.add(key)
+    return obj
+
+
 def _load(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -75,6 +99,8 @@ def graph_from_text(text: str) -> Union[Multigraph, BipartiteGraph]:
         raise FormatError(f"malformed graph document: {exc}") from exc
     if n < 0:
         raise FormatError(f"vertex_count must be non-negative, got {n}")
+    if n > MAX_VERTEX_COUNT:
+        raise FormatError(f"vertex_count {n} is above the cap of {MAX_VERTEX_COUNT}")
     try:
         g = build_multigraph(n, pairs)
     except InputError as exc:
@@ -98,9 +124,17 @@ def graph_from_text(text: str) -> Union[Multigraph, BipartiteGraph]:
 # -- color lists -------------------------------------------------------------
 
 
+def _key_to_edge(key: str) -> int:
+    if _EDGE_KEY.fullmatch(key) is None:
+        raise FormatError(f"edge key must be a canonical integer such as \"3\", got {key!r}")
+    return int(key)
+
+
 def _key_to_incidence(key: str) -> Incidence:
-    v, _, e = key.partition(":")
-    return Incidence(int(v), int(e))
+    m = _INCIDENCE_KEY.fullmatch(key)
+    if m is None:
+        raise FormatError(f"incidence key must be \"v:e\" with canonical integers, got {key!r}")
+    return Incidence(int(m[1]), int(m[2]))
 
 
 def lists_to_text(lists: Mapping, incidence: bool = False) -> str:
@@ -118,7 +152,7 @@ def lists_from_text(text: str, incidence: bool = False):
         raise FormatError("missing lists object")
     try:
         keyed = {
-            (_key_to_incidence(k) if incidence else int(k)): frozenset(
+            (_key_to_incidence(k) if incidence else _key_to_edge(k)): frozenset(
                 _int(c, "a color") for c in v
             )
             for k, v in body.items()
@@ -152,7 +186,7 @@ def coloring_from_text(text: str) -> Tuple[str, Dict]:
     body = doc.get("colors")
     if not isinstance(body, dict):
         raise FormatError("missing colors object")
-    key = _key_to_incidence if mode == "incidence" else int
+    key = _key_to_incidence if mode == "incidence" else _key_to_edge
     try:
         colors = {key(k): _int(c, "a color") for k, c in body.items()}
     except (TypeError, ValueError) as exc:

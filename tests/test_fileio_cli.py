@@ -435,3 +435,140 @@ class TestCliStress:
     def test_cubic_family(self):
         r = run_cli("stress", "--count", 20, "--seed", 3, "--size", 10, "--family", "cubic")
         assert r.returncode == 0, r.stdout + r.stderr
+
+
+def _lists_doc(body: str) -> str:
+    return '{"format_version": 1, "lists": {%s}}' % body
+
+
+def _coloring_doc(mode: str, body: str) -> str:
+    return '{"format_version": 1, "mode": "%s", "colors": {%s}}' % (mode, body)
+
+
+SIX = "[1, 2, 3, 4, 5, 6]"
+BAD_EDGE_KEYS = ["03", " 1_0 ", "+1", "-1", "1 ", "", "1.0", "0x1", "٣"]
+BAD_INCIDENCE_KEYS = ["03:1", "1:03", " 1:2", "1: 2", "+1:2", "1:-2", "1_0:2", "1:2:3",
+                      "1", ":1", "١:2"]
+
+
+class TestCanonicalKeys:
+    """Keys are 0|[1-9][0-9]* (or two such joined by ":"); no object repeats a key."""
+
+    @pytest.mark.parametrize("key", BAD_EDGE_KEYS)
+    def test_edge_list_key(self, key):
+        with pytest.raises(sc.FormatError, match="canonical"):
+            fileio.lists_from_text(_lists_doc(f'{json.dumps(key)}: {SIX}'))
+
+    @pytest.mark.parametrize("key", BAD_EDGE_KEYS)
+    def test_strong_coloring_key(self, key):
+        with pytest.raises(sc.FormatError, match="canonical"):
+            fileio.coloring_from_text(_coloring_doc("strong", f'{json.dumps(key)}: 1'))
+
+    @pytest.mark.parametrize("key", BAD_INCIDENCE_KEYS)
+    def test_incidence_list_key(self, key):
+        with pytest.raises(sc.FormatError, match="canonical"):
+            fileio.lists_from_text(_lists_doc(f'{json.dumps(key)}: {SIX}'), incidence=True)
+
+    @pytest.mark.parametrize("key", BAD_INCIDENCE_KEYS)
+    def test_incidence_coloring_key(self, key):
+        with pytest.raises(sc.FormatError, match="canonical"):
+            fileio.coloring_from_text(_coloring_doc("incidence", f'{json.dumps(key)}: 1'))
+
+    @pytest.mark.parametrize("incidence", [False, True])
+    def test_canonical_keys_read(self, incidence):
+        keys = ["0:0", "10:20", "7:0"] if incidence else ["0", "10", "205"]
+        lists = fileio.lists_from_text(
+            _lists_doc(", ".join(f'"{k}": {SIX}' for k in keys)), incidence=incidence
+        )
+        got = set(lists) if incidence else set(lists.lists)
+        want = {Incidence(*map(int, k.split(":"))) if incidence else int(k) for k in keys}
+        assert got == want
+
+    @pytest.mark.parametrize("incidence", [False, True])
+    def test_aliased_key_does_not_overwrite(self, incidence):
+        # "3" and "03" used to read as one key, and the later list won
+        keys = ('"1:3"', '"1:03"') if incidence else ('"3"', '"03"')
+        text = _lists_doc(f"{keys[0]}: {SIX}, {keys[1]}: [7, 8, 9, 10, 11, 12]")
+        with pytest.raises(sc.FormatError):
+            fileio.lists_from_text(text, incidence=incidence)
+
+    @pytest.mark.parametrize("incidence", [False, True])
+    def test_repeated_list_key(self, incidence):
+        key = '"0:0"' if incidence else '"0"'
+        with pytest.raises(sc.FormatError, match="appears twice"):
+            fileio.lists_from_text(_lists_doc(f"{key}: {SIX}, {key}: {SIX}"), incidence=incidence)
+
+    @pytest.mark.parametrize("mode, key", [("strong", '"0"'), ("incidence", '"0:0"')])
+    def test_repeated_coloring_key(self, mode, key):
+        with pytest.raises(sc.FormatError, match="appears twice"):
+            fileio.coloring_from_text(_coloring_doc(mode, f"{key}: 1, {key}: 2"))
+
+    @pytest.mark.parametrize("text", [
+        '{"format_version": 1, "format_version": 1, "kind": "multigraph",'
+        ' "vertex_count": 2, "edges": [[0, 1]]}',
+        '{"format_version": 1, "kind": "bipartite", "vertex_count": 2, "edges": [[0, 1]],'
+        ' "parts": {"A": [0], "B": [1], "B": [1]}}',
+    ])
+    def test_repeated_graph_key(self, text):
+        with pytest.raises(sc.FormatError, match="appears twice"):
+            fileio.graph_from_text(text)
+
+    @pytest.mark.parametrize("mode, key", [("strong", "03"), ("incidence", "0:+1")])
+    def test_cli_verify_rejects_key(self, tmp_path, capsys, k23_file, mode, key):
+        cpath = tmp_path / "c.colors"
+        cpath.write_text(_coloring_doc(mode, f'"{key}": 1'))
+        assert cli.main(["verify", str(k23_file), str(cpath)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "canonical" in err
+
+    @pytest.mark.parametrize("mode, key", [("strong", "0"), ("incidence", "0:0")])
+    def test_cli_color_rejects_repeated_list_key(self, tmp_path, capsys, k23_file, mode, key):
+        lpath = tmp_path / "lists.json"
+        lpath.write_text(_lists_doc(f'"{key}": {SIX}, "{key}": {SIX}'))
+        assert cli.main(["color", str(k23_file), "--mode", mode, "--lists", str(lpath)]) == 2
+        assert "appears twice" in capsys.readouterr().err
+
+
+class _Allocated(Exception):
+    """Raised by a stand-in for a call that would allocate by its argument."""
+
+
+def _refuse(*args, **kwargs):
+    raise _Allocated
+
+
+class TestSizeCaps:
+    """Oversized counts are rejected before the call that would allocate them."""
+
+    @staticmethod
+    def graph_text(n: int) -> str:
+        return json.dumps({"format_version": 1, "kind": "multigraph", "vertex_count": n,
+                           "edges": []})
+
+    def test_vertex_count_cap(self, monkeypatch):
+        monkeypatch.setattr(fileio, "build_multigraph", _refuse)
+        with pytest.raises(sc.FormatError, match="above the cap"):
+            fileio.graph_from_text(self.graph_text(fileio.MAX_VERTEX_COUNT + 1))
+        with pytest.raises(_Allocated):
+            fileio.graph_from_text(self.graph_text(fileio.MAX_VERTEX_COUNT))
+
+    def test_vertex_count_cap_cli(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(fileio, "build_multigraph", _refuse)
+        gpath = tmp_path / "huge.graph"
+        gpath.write_text(self.graph_text(10 ** 12))
+        assert cli.main(["color", str(gpath), "--uniform", "6"]) == 2
+        assert "above the cap" in capsys.readouterr().err
+
+    def test_hundred_thousand_cubic_fits(self):
+        assert 250_000 <= fileio.MAX_VERTEX_COUNT
+
+    @pytest.mark.parametrize("command", ["color", "oracle"])
+    @pytest.mark.parametrize("mode", ["strong", "incidence"])
+    def test_uniform_cap(self, monkeypatch, capsys, k23_file, command, mode):
+        monkeypatch.setattr(cli.ListAssignment, "uniform", _refuse)
+        monkeypatch.setattr(cli, "uniform_incidence_lists", _refuse)
+        argv = [command, str(k23_file), "--mode", mode, "--uniform"]
+        assert cli.main(argv + [str(cli.MAX_UNIFORM_COLORS + 1)]) == 2
+        assert f"at most {cli.MAX_UNIFORM_COLORS}" in capsys.readouterr().err
+        with pytest.raises(_Allocated):
+            cli.main(argv + [str(cli.MAX_UNIFORM_COLORS)])
