@@ -26,8 +26,11 @@ FORMAT_VERSION = 1
 # Well above the 250,000 vertices of a subdivided 100,000-vertex cubic graph.
 MAX_VERTEX_COUNT = 1_000_000
 
-_EDGE_KEY = re.compile(r"0|[1-9][0-9]*")
-_INCIDENCE_KEY = re.compile(r"(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
+_NUMBER = "(?:0|[1-9][0-9]*)"
+_EDGE_KEY = re.compile(_NUMBER)
+_INCIDENCE_KEY = re.compile(f"{_NUMBER}:{_NUMBER}")
+_EDGE_KEYS = re.compile(f"(?:{_NUMBER}\n)*")
+_INCIDENCE_KEYS = re.compile(f"(?:{_NUMBER}:{_NUMBER}\n)*")
 
 
 def _dump(doc: dict) -> str:
@@ -124,17 +127,24 @@ def graph_from_text(text: str) -> Union[Multigraph, BipartiteGraph]:
 # -- color lists -------------------------------------------------------------
 
 
-def _key_to_edge(key: str) -> int:
-    if _EDGE_KEY.fullmatch(key) is None:
-        raise FormatError(f"edge key must be a canonical integer such as \"3\", got {key!r}")
-    return int(key)
+def _parse_keys(keys, incidence: bool) -> list:
+    """The keys of one object as edge ids, or as incidences for "v:e" keys.
 
-
-def _key_to_incidence(key: str) -> Incidence:
-    m = _INCIDENCE_KEY.fullmatch(key)
-    if m is None:
-        raise FormatError(f"incidence key must be \"v:e\" with canonical integers, got {key!r}")
-    return Incidence(int(m[1]), int(m[2]))
+    Every number must be canonical, ``0|[1-9][0-9]*``, so no two keys can
+    name the same edge or incidence.  One regex pass over the keys joined
+    by newlines checks them all, which costs far less than a match per
+    key; the newline count rules out a key that holds a newline itself.
+    """
+    if not keys:
+        return []
+    text = "\n".join(keys) + "\n"
+    every, one = (_INCIDENCE_KEYS, _INCIDENCE_KEY) if incidence else (_EDGE_KEYS, _EDGE_KEY)
+    if every.fullmatch(text) is None or text.count("\n") != len(keys):
+        bad = next(k for k in keys if one.fullmatch(k) is None)
+        form = '"v:e" with canonical integers' if incidence else 'a canonical integer such as "3"'
+        raise FormatError(f"key must be {form}, got {bad!r}")
+    nums = list(map(int, text.replace(":", "\n").split()))
+    return list(map(Incidence, nums[0::2], nums[1::2])) if incidence else nums
 
 
 def lists_to_text(lists: Mapping, incidence: bool = False) -> str:
@@ -152,10 +162,8 @@ def lists_from_text(text: str, incidence: bool = False):
         raise FormatError("missing lists object")
     try:
         keyed = {
-            (_key_to_incidence(k) if incidence else _key_to_edge(k)): frozenset(
-                _int(c, "a color") for c in v
-            )
-            for k, v in body.items()
+            key: frozenset(_int(c, "a color") for c in v)
+            for key, v in zip(_parse_keys(body, incidence), body.values())
         }
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed lists: {exc}") from exc
@@ -186,9 +194,9 @@ def coloring_from_text(text: str) -> Tuple[str, Dict]:
     body = doc.get("colors")
     if not isinstance(body, dict):
         raise FormatError("missing colors object")
-    key = _key_to_incidence if mode == "incidence" else _key_to_edge
     try:
-        colors = {key(k): _int(c, "a color") for k, c in body.items()}
+        keys = _parse_keys(body, mode == "incidence")
+        colors = {k: _int(c, "a color") for k, c in zip(keys, body.values())}
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed colors: {exc}") from exc
     for k, c in colors.items():

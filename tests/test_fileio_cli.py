@@ -446,9 +446,9 @@ def _coloring_doc(mode: str, body: str) -> str:
 
 
 SIX = "[1, 2, 3, 4, 5, 6]"
-BAD_EDGE_KEYS = ["03", " 1_0 ", "+1", "-1", "1 ", "", "1.0", "0x1", "٣"]
+BAD_EDGE_KEYS = ["03", " 1_0 ", "+1", "-1", "1 ", "", "1.0", "0x1", "٣", "1\n2"]
 BAD_INCIDENCE_KEYS = ["03:1", "1:03", " 1:2", "1: 2", "+1:2", "1:-2", "1_0:2", "1:2:3",
-                      "1", ":1", "١:2"]
+                      "1", ":1", "١:2", "1:2\n3:4"]
 
 
 class TestCanonicalKeys:
