@@ -362,8 +362,10 @@ def _residual_shortest_cycle(b: BipartiteGraph, alive, deg, vertex_order):
       vertex of a girth cycle through s* comes at or after s*, so s*
       reports g, and by the second fact every earlier start reports more.
       So s* is the first start to report g.  A start with fewer than two
-      alive neighbours after it reports no cycle through itself and is
-      skipped; s* has two on its girth cycle.
+      alive neighbours after it lies on no cycle of its restricted BFS, so
+      by the second fact any report from it exceeds g; it is skipped,
+      which only leaves later caps looser.  s* has two, on its girth
+      cycle.
     - ``_cycle_through`` from s* meets no candidate before level g/2, as
       it would close a walk shorter than g, and its cap only keeps deeper
       levels out of the queue.  So the BFS order up to level g/2, and with
@@ -383,7 +385,7 @@ def _residual_shortest_cycle(b: BipartiteGraph, alive, deg, vertex_order):
     nbrs = [[pos[w] for eid, w in g.adj[v] if alive[eid]] for v in order]
     dist = [-1] * len(order)
     parent = [-1] * len(order)
-    best, first = len(order) + 2, -1
+    best, first = len(order) + 2, -1  # longer than any cycle
     for s, ns in enumerate(nbrs):
         if len([w for w in ns if w > s]) < 2:
             continue
