@@ -384,7 +384,6 @@ def _residual_shortest_cycle(b: BipartiteGraph, alive, deg, vertex_order):
     pos = {v: i for i, v in enumerate(order)}
     nbrs = [[pos[w] for eid, w in g.adj[v] if alive[eid]] for v in order]
     dist = [-1] * len(order)
-    parent = [-1] * len(order)
     best, first = len(order) + 2, -1  # longer than any cycle
     for s, ns in enumerate(nbrs):
         if len([w for w in ns if w > s]) < 2:
@@ -416,7 +415,7 @@ def _residual_shortest_cycle(b: BipartiteGraph, alive, deg, vertex_order):
                 break
     if first < 0:
         return None
-    hit = _cycle_through(first, nbrs, dist, parent, best // 2)
+    hit = _cycle_through(first, nbrs, dist, [-1] * len(order), best // 2)
     if hit is None or hit[0] != best:
         raise InternalInvariant(f"no {best}-cycle through the first start that reported one")
     return best, tuple(order[x] for x in hit[1])
