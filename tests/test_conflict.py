@@ -205,3 +205,113 @@ class TestCorrespondence:
             ok_inc = sc.verify_incidence(g, inc_coloring) == []
             ok_strong = sc.verify_strong(sub.bipartite, None, edge_coloring) == []
             assert ok_inc == ok_strong
+
+
+def _frozen_incidence_neighbors(g, inc):
+    """The neighbour walk ``verify_incidence`` used before the vertex-clique pass."""
+    v, e = inc
+    u = g.other_endpoint(e, v)
+    out = set()
+    for fid, x in g.adj[v]:
+        if fid != e:
+            out.add(Incidence(v, fid))
+            out.add(Incidence(x, fid))
+    for fid, _ in g.adj[u]:
+        out.add(Incidence(u, fid))
+    out.discard(inc)
+    return out
+
+
+def _frozen_verify_incidence(g, coloring, L=None, require_total=False):
+    """A frozen copy of the per-neighbour ``verify_incidence``: the reference."""
+    out = []
+    colored = 0
+    for inc in sorted(coloring):
+        c = coloring[inc]
+        v, e = inc
+        if not 0 <= e < g.edge_count or v not in g.endpoints(e):
+            out.append(sc.Violation("list", (inc,), f"{inc} is not an incidence of the graph"))
+            continue
+        colored += 1
+        if L is not None and c not in set(L.get(inc, ())):
+            out.append(sc.Violation("list", (inc,), f"color {c} not in list of {inc}"))
+        for nb in sorted(_frozen_incidence_neighbors(g, inc)):
+            if nb > inc and coloring.get(nb) == c:
+                out.append(
+                    sc.Violation(
+                        "conflict", (inc, nb), f"incidences {inc} and {nb} share color {c}"
+                    )
+                )
+    if require_total and colored < 2 * g.edge_count:
+        for inc in g.incidences():
+            if inc not in coloring:
+                out.append(sc.Violation("uncolored", (inc,), f"{inc} has no color"))
+    return out
+
+
+class TestVerifyIncidenceEquivalence:
+    """``verify_incidence`` reports exactly what the per-neighbour walk reported.
+
+    Violations are compared by ``repr``, so kinds, pairs, order, messages
+    and the key types (``Incidence`` or plain tuples) must all agree.
+    """
+
+    @staticmethod
+    def corpus():
+        graphs = [sc.named(name) for name in ("double-edge", "triple-edge", "domino", "petersen")]
+        graphs += [sc.random_cubic(n, seed) for seed, n in enumerate((4, 4, 6, 8, 10, 16, 24, 30))]
+        return graphs
+
+    @staticmethod
+    def random_case(g, rng):
+        """A random coloring, list map and totality flag, with every kind of defect."""
+        palette = 2 + rng.below(5)  # 2..6 colors
+        incs = list(g.incidences())
+        coloring = {inc: 1 + rng.below(palette) for inc in incs}
+        for inc in incs:  # deleted keys
+            if rng.below(6) == 0:
+                del coloring[inc]
+        n, m = g.vertex_count, g.edge_count
+        for _ in range(rng.below(3)):  # edge id out of range
+            coloring[Incidence(rng.below(n), (m, m + 1, -1)[rng.below(3)])] = 1
+        for _ in range(rng.below(3)):  # vertex not an endpoint of the edge
+            e = rng.below(m)
+            v = rng.below(n + 2) - 1
+            if v not in g.edges[e]:
+                coloring[Incidence(v, e)] = 1 + rng.below(palette)
+        if rng.below(4) == 0:  # plain tuple keys, as a caller may pass them
+            coloring = {tuple(k): c for k, c in coloring.items()}
+        L = None
+        if rng.below(2):  # partial incidence lists
+            L = {
+                inc: frozenset(1 + rng.below(palette) for _ in range(rng.below(4)))
+                for inc in incs
+                if rng.below(3)
+            }
+        return coloring, L, bool(rng.below(2))
+
+    def test_random_colorings_report_the_same(self):
+        rng = sc.SplitMix64(2024)
+        kinds = set()
+        for g in self.corpus():
+            for _ in range(60):
+                coloring, L, total = self.random_case(g, rng)
+                want = _frozen_verify_incidence(g, coloring, L, total)
+                got = sc.verify_incidence(g, coloring, L, total)
+                assert [repr(v) for v in got] == [repr(v) for v in want]
+                kinds.update(v.kind for v in want)
+        # every kind of violation occurred, so each branch was compared
+        assert kinds == {"conflict", "list", "uncolored"}
+
+    def test_proper_colorings(self):
+        for g in self.corpus():
+            coloring, _ = sc.color_incidence(g, sc.uniform_incidence_lists(g, 6))
+            assert _frozen_verify_incidence(g, coloring, None, True) == []
+            assert sc.verify_incidence(g, coloring, None, True) == []
+            # clash-free, but one key missing and one key not an incidence
+            del coloring[Incidence(g.edges[0][1], 0)]
+            coloring[Incidence(g.vertex_count, 0)] = 1
+            for total in (False, True):
+                want = _frozen_verify_incidence(g, coloring, None, total)
+                got = sc.verify_incidence(g, coloring, None, total)
+                assert [repr(v) for v in got] == [repr(v) for v in want] != []
