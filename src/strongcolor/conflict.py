@@ -166,41 +166,76 @@ def incidence_adjacent(g: Multigraph, i1: Incidence, i2: Incidence) -> bool:
     return set(g.endpoints(e)) == {v, w} or set(g.endpoints(f)) == {v, w}
 
 
-def _incidence_neighbors(g: Multigraph, inc: Incidence):
-    """All incidences adjacent to ``inc`` (constant work per degree)."""
-    v, e = inc
-    u = g.other_endpoint(e, v)
-    out = set()
-    for fid, x in g.adj[v]:
-        if fid != e:
-            out.add(Incidence(v, fid))
-            out.add(Incidence(x, fid))  # the joining edge is fid itself
-    for fid, _ in g.adj[u]:
-        out.add(Incidence(u, fid))
-    out.discard(inc)
-    return out
-
-
 def verify_incidence(
     g: Multigraph,
     coloring: Mapping[Incidence, int],
     L: Optional[Mapping[Incidence, Iterable[int]]] = None,
     require_total: bool = False,
 ) -> list:
-    """Empty list iff adjacent colored incidences always differ (and lists are respected)."""
+    """Empty list iff adjacent colored incidences always differ (and lists are respected).
+
+    One pass over the vertices finds every clashing pair, by this fact:
+    two distinct incidences are adjacent exactly when both lie in one
+    clique K(v, f) = {(v, e) : e at v} | {(x, f)}, where f is an edge at v
+    and x is its other end.
+
+    *Inside a clique every pair is adjacent.*  Two incidences (v, e) and
+    (v, e') share a vertex.  (v, e) and (x, f) share the edge when e = f;
+    otherwise f joins their vertices v and x and is one of the two edges.
+
+    *Every adjacent pair lies in a clique.*  Same vertex v: K(v, f) for any
+    f at v.  Same edge f = vx: (v, f) and (x, f) lie in K(v, f).  Otherwise
+    the pair is (v, e) and (w, f) with the edge joining v and w among e
+    and f.  If e joins them, (w, f) is at w and (v, e) is the far
+    incidence of e at w, so both lie in K(w, e); if f does, both lie in
+    K(v, f).  Parallel edges change nothing: each edge is its own f.
+
+    So for each vertex v the pass checks that the colored incidences at v
+    have distinct colors and that the far incidence of each edge at v
+    avoids every color at v.  Each clashing pair is recorded under its
+    smaller incidence, since it may be found in more than one clique.
+    Keys that are not incidences of ``g`` are never looked up there.
+    The report then walks the keys in sorted order: a list violation
+    comes before that incidence's conflicts, whose partners ascend.  It
+    is skipped when it could report nothing: no clash, no lists, and
+    every key found by the pass.
+    """
+    get = coloring.get
+    clashes: dict = {}  # smaller incidence -> larger incidences sharing its color
+
+    def clash(a: tuple, b: tuple) -> None:
+        lo, hi = (a, b) if a < b else (b, a)
+        clashes.setdefault(lo, set()).add(hi)
+
+    colored = 0  # keys found by the pass: the colored incidences of g
+    for v, at_v in enumerate(g.adj):
+        colors = [get((v, e)) for e, _ in at_v]
+        colored += len(colors) - colors.count(None)
+        if len(set(colors)) < len(colors):  # a repeat, or two uncolored
+            for i, (e, _) in enumerate(at_v):
+                for j in range(i):
+                    if colors[i] is not None and colors[i] == colors[j]:
+                        clash((v, e), (v, at_v[j][0]))
+        for f, x in at_v:
+            far = get((x, f))
+            if far is not None and far in colors:
+                for (e, _), c in zip(at_v, colors):
+                    if c == far:
+                        clash((x, f), (v, e))
+
+    edges = g.edges
     out = []
-    colored = 0
-    for inc in sorted(coloring):
-        c = coloring[inc]
-        v, e = inc
-        if not 0 <= e < g.edge_count or v not in g.endpoints(e):
-            out.append(Violation("list", (inc,), f"{inc} is not an incidence of the graph"))
-            continue
-        colored += 1
-        if L is not None and c not in set(L.get(inc, ())):
-            out.append(Violation("list", (inc,), f"color {c} not in list of {inc}"))
-        for nb in sorted(_incidence_neighbors(g, inc)):
-            if nb > inc and coloring.get(nb) == c:
+    if clashes or L is not None or colored < len(coloring):
+        for inc in sorted(coloring):
+            v, e = inc
+            if not 0 <= e < len(edges) or v not in edges[e]:
+                out.append(Violation("list", (inc,), f"{inc} is not an incidence of the graph"))
+                continue
+            c = coloring[inc]
+            if L is not None and c not in set(L.get(inc, ())):
+                out.append(Violation("list", (inc,), f"color {c} not in list of {inc}"))
+            for nb in sorted(clashes.get(inc, ())):
+                nb = Incidence(*nb)
                 out.append(
                     Violation("conflict", (inc, nb), f"incidences {inc} and {nb} share color {c}")
                 )
