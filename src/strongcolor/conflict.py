@@ -134,7 +134,8 @@ def verify_strong(
     cg: Optional[ConflictGraph] = None,
 ) -> list:
     """Empty list iff pc is a valid (and, if required, total) strong list coloring."""
-    cg = cg or build_conflict_graph(b)
+    if cg is None:  # not ``cg or ...``: an edgeless graph's conflict graph is empty, so falsy
+        cg = build_conflict_graph(b)
     out = []
     for e, c in sorted(pc.assigned.items()):
         if e < 0 or e >= b.graph.edge_count:

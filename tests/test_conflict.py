@@ -148,6 +148,26 @@ class TestVerifyStrong:
         )
 
 
+    def test_given_conflict_graph_is_used_even_when_empty(self, monkeypatch):
+        from strongcolor import conflict
+
+        calls = []
+        build = conflict.build_conflict_graph
+
+        def counting(b):
+            calls.append(b)
+            return build(b)
+
+        monkeypatch.setattr(conflict, "build_conflict_graph", counting)
+        edgeless = sc.BipartiteGraph(sc.build_multigraph(2, []), ["A", "B"])
+        cg = build(edgeless)
+        assert len(cg) == 0
+        assert sc.verify_strong(edgeless, None, PartialColoring(), True, cg) == []
+        assert calls == []
+        assert sc.verify_strong(edgeless, None, PartialColoring(), True) == []
+        assert calls == [edgeless]
+
+
 class TestVerifyIncidence:
     def test_c3_matches_definition_oracle(self):
         g = sc.build_multigraph(3, [(0, 1), (1, 2), (2, 0)])
