@@ -15,6 +15,7 @@ positive integer; any other value is a malformed argument (exit 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -229,7 +230,9 @@ def _cmd_stress(args) -> int:
     return EXIT_OK if ok == args.count else EXIT_INVALID
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="strongcolor",
         description="Strong list edge-coloring of (2,3)-bipartite graphs and "

@@ -334,6 +334,35 @@ class TestCliVerify:
         assert run_cli("verify", gpath, bad).returncode == 2
 
 
+class TestCliInProcess:
+    def test_calls_match_fresh_processes(self, tmp_path, capsys):
+        """One process, several calls: each matches what a fresh process returns."""
+        g = sc.named("petersen")
+        gpath = tmp_path / "petersen.graph"
+        gpath.write_text(fileio.graph_to_text(g))
+        coloring, _ = sc.color_incidence(g, sc.uniform_incidence_lists(g, 6))
+        good = tmp_path / "good.colors"
+        good.write_text(fileio.coloring_to_text(coloring, "incidence"))
+        coloring[Incidence(1, 0)] = coloring[Incidence(0, 0)]
+        bad = tmp_path / "bad.colors"
+        bad.write_text(fileio.coloring_to_text(coloring, "incidence"))
+        calls = [
+            ["color", gpath, "--uniform", "six"],
+            ["verify", gpath, bad],
+            ["verify", gpath, good],
+            ["color", gpath, "--mode", "incidence", "--uniform", "6"],
+        ]
+        codes = []
+        for argv in calls:
+            argv = [str(a) for a in argv]
+            codes.append(cli.main(argv))
+            out, err = capsys.readouterr()
+            fresh = run_cli(*argv)
+            assert (codes[-1], out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert codes == [2, 1, 0, 0]
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestCliGen:
     def test_fixture(self, tmp_path):
         out = tmp_path / "k4.graph"
