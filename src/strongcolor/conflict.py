@@ -134,7 +134,7 @@ def verify_strong(
     cg: Optional[ConflictGraph] = None,
 ) -> list:
     """Empty list iff pc is a valid (and, if required, total) strong list coloring."""
-    if cg is None:  # not ``cg or ...``: an edgeless graph's conflict graph is empty, so falsy
+    if cg is None:  # an empty ConflictGraph is falsy, so test for None
         cg = build_conflict_graph(b)
     out = []
     for e, c in sorted(pc.assigned.items()):
