@@ -224,7 +224,7 @@ def _cmd_stress(args) -> int:
         f"instances={args.count} ok={ok} rate={100.0 * ok / max(1, args.count):.1f}% "
         f"peeled={stats.peeled_edges} c4={stats.c4_extensions} c6={stats.c6_extensions} "
         f"long={stats.long_cycle_extensions} k23={stats.k23_base_cases} "
-        f"fallback={stats.fallback_uses} sdr={stats.sdr_calls} wall={wall:.2f}s"
+        f"sdr={stats.sdr_calls} wall={wall:.2f}s"
     )
     sys.stdout.write(line + "\n")
     return EXIT_OK if ok == args.count else EXIT_INVALID

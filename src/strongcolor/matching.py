@@ -5,7 +5,7 @@ procedures terminates here.  A rainbow choice is automatically a valid
 strong-coloring extension: distinct colors cannot violate any conflict, and
 each color is drawn from the edge's current available list.
 
-Plain augmenting-path matching is enough: the instances have at most nine
+Plain augmenting-path matching is enough: the instances have at most six
 items.  The interface permits swapping in a faster engine later.
 """
 

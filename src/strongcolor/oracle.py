@@ -1,10 +1,10 @@
 """Exhaustive backtracking solver for small instances.
 
 Ground truth for feasibility and minimum color counts.  The solver's case
-chains share nothing with this search beyond the conflict relation, so
-agreement between the two is a meaningful cross-check; only the solver's
-flagged 6-cycle fallback reuses :func:`exhaustive_search`.  Running out of
-budget is reported as :class:`BudgetExceeded`, never as "infeasible".
+chains share nothing with this search beyond the conflict relation and
+never call it, so agreement between the two is a meaningful cross-check.
+Running out of budget is reported as :class:`BudgetExceeded`, never as
+"infeasible".
 """
 
 from __future__ import annotations

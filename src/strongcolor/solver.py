@@ -24,7 +24,6 @@ assume; a coloring from truncated lists is valid for the originals.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
@@ -37,7 +36,7 @@ from .conflict import (
     build_conflict_graph,
     verify_strong,
 )
-from .errors import BudgetExceeded, DegreeTooHigh, InternalInvariant, ListTooSmall
+from .errors import DegreeTooHigh, InternalInvariant, ListTooSmall
 from .graph import (
     PART_A,
     BipartiteGraph,
@@ -50,12 +49,6 @@ from .graph import (
     subdivide,
 )
 from .matching import SdrProblem, rainbow_sdr
-from .oracle import exhaustive_search
-
-logger = logging.getLogger("strongcolor")
-
-_FALLBACK_NODE_CAP = 10_000_000
-
 
 @dataclass
 class SolveStats:
@@ -66,7 +59,6 @@ class SolveStats:
     c6_extensions: int = 0
     long_cycle_extensions: int = 0
     k23_base_cases: int = 0
-    fallback_uses: int = 0
     sdr_calls: int = 0
 
     def merge(self, other: "SolveStats") -> None:
@@ -441,9 +433,7 @@ class _Region:
     def __init__(self, L, pc, cg, edge_ids):
         self.pc = pc
         self.cg = cg
-        self.edges = list(edge_ids)
-        self.avail = {e: available(e, L, pc, cg) for e in self.edges}
-        self.order: list = []
+        self.avail = {e: available(e, L, pc, cg) for e in edge_ids}
 
     def truncate(self, e: int, k: int) -> None:
         cur = self.avail[e]
@@ -459,7 +449,6 @@ class _Region:
         for f in self.cg[e]:
             if f in self.avail:
                 self.avail[f].discard(color)
-        self.order.append(e)
 
     def assign_min(self, e: int) -> None:
         cur = self.avail.get(e)
@@ -479,11 +468,6 @@ class _Region:
         for e in edge_ids:
             self.assign(e, chosen[e])
 
-    def undo(self) -> None:
-        for e in self.order:
-            del self.pc.assigned[e]
-        self.order = []
-
 
 def _path_region(L, pc, cg, sizes: Mapping[int, int]) -> _Region:
     """Region over a path configuration's edges, truncated to their entry sizes."""
@@ -493,28 +477,6 @@ def _path_region(L, pc, cg, sizes: Mapping[int, int]) -> _Region:
             raise ListTooSmall(f"edge {e} needs {k} colors, got {len(region.avail[e])}")
         region.truncate(e, k)
     return region
-
-
-def _run_with_fallback(L, pc, cg, stats, region, chain) -> None:
-    try:
-        chain(region)
-    except InternalInvariant as exc:
-        region.undo()
-        stats.fallback_uses += 1
-        logger.warning("extension chain failed (%s); using exhaustive fallback", exc)
-        # the untruncated available lists, for maximum slack
-        edges = sorted(region.edges)
-        avail = {e: sorted(available(e, L, pc, cg)) for e in edges}
-        try:
-            chosen = exhaustive_search(edges, avail, cg, _FALLBACK_NODE_CAP)
-        except BudgetExceeded:
-            raise InternalInvariant("fallback search budget exhausted") from exc
-        if chosen is None:
-            raise InternalInvariant(
-                f"fallback found no coloring for edges {region.edges}"
-            ) from exc
-        for e in edges:
-            pc.set(e, chosen[e])
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +495,7 @@ def extend_c4(
     If the pendant neighbors of v and x coincide the component is exactly
     K_{2,3}: all six lists are intact 6-lists and a rainbow choice always
     exists.  Otherwise the lists are cut to 3 on the pendants and 5 on the
-    cycle edges, and one of two cases holds; neither can fail, so there is
-    no fallback:
+    cycle edges, and one of two cases holds; neither can fail:
 
     * the two pendant lists jointly hold 6 colors: Hall's condition holds
       for all six edges (a set of at most 5 edges with a cycle edge has
@@ -583,91 +544,6 @@ def extend_c4(
 # 6-cycle extension
 
 
-@dataclass(frozen=True)
-class _C6Frame:
-    """The nine region edges named after the rotated cycle u-v-w-x-y-z,
-    where u, w, y carry the pendants."""
-
-    uv: int
-    vw: int
-    wx: int
-    xy: int
-    yz: int
-    zu: int
-    up: int
-    wp: int
-    yp: int
-
-
-def _c6_frame(cycle: CycleDescriptor, rot: int) -> _C6Frame:
-    d, ce = cycle.vertices, cycle.edges
-
-    def at(k):
-        return (k + 2 * rot) % 6
-
-    pend = cycle.pendant
-    return _C6Frame(
-        uv=ce[at(1)],
-        vw=ce[at(2)],
-        wx=ce[at(3)],
-        xy=ce[at(4)],
-        yz=ce[at(5)],
-        zu=ce[at(0)],
-        up=pend[d[at(1)]][1],
-        wp=pend[d[at(3)]][1],
-        yp=pend[d[at(5)]][1],
-    )
-
-
-def _c6_shared_color_chain(region: _Region, f: _C6Frame, stats) -> None:
-    """Case of a shared color on the opposite pair (uv, xy).
-
-    Each later pairing relies on the disjointness of the pairs tried
-    before it; the greedy orders are chosen so every step keeps a color.
-    """
-    alpha = min(region.avail[f.uv] & region.avail[f.xy])
-    region.assign(f.uv, alpha)
-    region.assign(f.xy, alpha)
-    pairings = (
-        (f.up, f.yp, (f.wp, f.vw, f.wx, f.yz, f.zu)),
-        (f.wp, f.yp, (f.up, f.vw, f.zu, f.yz, f.wx)),
-        (f.wp, f.up, (f.yp, f.wx, f.yz, f.zu, f.vw)),
-        (f.up, f.wx, (f.yp, f.yz, f.zu, f.vw, f.wp)),
-        (f.yp, f.vw, (f.up, f.zu, f.yz, f.wx, f.wp)),
-        (f.wp, f.yz, (f.up, f.yp, f.zu, f.vw, f.wx)),
-        (f.wp, f.zu, (f.yp, f.up, f.yz, f.wx, f.vw)),
-    )
-    for e1, e2, rest in pairings:
-        shared = region.avail[e1] & region.avail[e2]
-        if shared:
-            beta = min(shared)
-            region.assign(e1, beta)
-            region.assign(e2, beta)
-            for e in rest:
-                region.assign_min(e)
-            return
-    region.sdr((f.up, f.wp, f.yp, f.vw, f.wx, f.yz, f.zu), stats)
-
-
-def _c6_equal_pendants(region: _Region, f: _C6Frame) -> None:
-    """All three pendant lists equal: one color serves all pendants.
-
-    Every opposite cycle pair is disjoint here, so the shared pendant
-    color misses at least one edge of each pair; the cycle is colored
-    greedily ending at such an edge.
-    """
-    gamma = min(region.avail[f.up])
-    for e in (f.up, f.wp, f.yp):
-        region.assign(e, gamma)
-    walk = [f.uv, f.vw, f.wx, f.xy, f.yz, f.zu]
-    star = next((e for e in walk if len(region.avail[e]) == 5), None)
-    if star is None:
-        raise InternalInvariant("no cycle edge kept its five colors")
-    i = walk.index(star)
-    for e in walk[i + 1 :] + walk[: i + 1]:
-        region.assign_min(e)
-
-
 def extend_c6(
     L: ListAssignment,
     pc: PartialColoring,
@@ -675,28 +551,58 @@ def extend_c6(
     cg: ConflictGraph,
     stats: SolveStats,
 ) -> PartialColoring:
-    """Color the nine uncolored edges around a shortest 6-cycle."""
-    frames = [_c6_frame(cycle, r) for r in range(3)]
-    f0 = frames[0]
-    edge_ids = [f0.uv, f0.vw, f0.wx, f0.xy, f0.yz, f0.zu, f0.up, f0.wp, f0.yp]
-    region = _Region(L, pc, cg, edge_ids)
+    """Color the nine uncolored edges around a shortest 6-cycle.
+
+    The lists are cut to 3 on the pendants and 5 on the cycle edges ``ce``.
+    The cycle edges conflict as the square of the 6-cycle, the octahedron
+    K_{2,2,2}, which is 3-choosable (Erdős, Rubin & Taylor, "Choosability
+    in graphs", 1979).  The steps below make that concrete; none can fail,
+    so there is no search:
+
+    * every vertex on a carved cycle keeps its full degree, so its edges
+      are cycle edges and pendants, and no edge outside the region joins
+      two cycle vertices;
+    * the three pendants pairwise do not conflict: their ends are distinct
+      (``_descriptor_from_cycle`` rejects coinciding ones), no edge stays
+      inside a part, and an edge from one pendant end to another pendant's
+      B-vertex would give that vertex a fourth edge.  So each pendant
+      takes its smallest color;
+    * each cycle edge conflicts with exactly two pendants, the one at its
+      B-end and the one just past its A-end, so it keeps at least 3 of its
+      5 colors;
+    * the cycle edges conflict as K_{2,2,2}: every pair conflicts except
+      the three opposite pairs ``(ce[i], ce[i + 3])``;
+    * the opposite pairs are taken in order, and a pair that still shares
+      a color takes its smallest shared color.  Every other cycle edge
+      conflicts with both edges of the pair, so it loses at most one color;
+    * if k pairs are left, each holds two disjoint lists of at least
+      3 - (3 - k) = k colors.  Any j <= k of these edges see at least k
+      colors, and any j > k of them contain a whole pair, which sees at
+      least 2k >= j.  Hall's condition holds, and one rainbow choice
+      finishes.
+    """
+    d, ce = cycle.vertices, cycle.edges
+    for i in (1, 3, 5):
+        if d[i] not in cycle.pendant:
+            raise InternalInvariant(f"cycle vertex {d[i]} lacks a pendant")
+    pendants = [cycle.pendant[d[i]][1] for i in (1, 3, 5)]
+    region = _Region(L, pc, cg, list(ce) + pendants)
     stats.c6_extensions += 1
-
-    def chain(region: _Region) -> None:
-        for e in (f0.up, f0.wp, f0.yp):
-            region.truncate(e, 3)
-        for e in (f0.uv, f0.vw, f0.wx, f0.xy, f0.yz, f0.zu):
-            region.truncate(e, 5)
-        for f in frames:
-            if region.avail[f.uv] & region.avail[f.xy]:
-                _c6_shared_color_chain(region, f, stats)
-                return
-        if region.avail[f0.up] == region.avail[f0.wp] == region.avail[f0.yp]:
-            _c6_equal_pendants(region, f0)
-        else:
-            region.sdr(edge_ids, stats)
-
-    _run_with_fallback(L, pc, cg, stats, region, chain)
+    for e in pendants:
+        region.truncate(e, 3)
+    for e in ce:
+        region.truncate(e, 5)
+    for e in pendants:
+        region.assign_min(e)
+    for i in range(3):
+        shared = region.common(ce[i], ce[i + 3])
+        if shared:
+            alpha = min(shared)
+            region.assign(ce[i], alpha)
+            region.assign(ce[i + 3], alpha)
+    left = [e for e in ce if e in region.avail]
+    if left:
+        region.sdr(left, stats)
     return pc
 
 
@@ -715,8 +621,8 @@ def extend_long_cycle(
 
     Three steps: precolor the first five-vertex stretch, totally color the
     odd pendant path around the rest of the cycle, then finish the two
-    middle edges of the stretch.  No fallback: the path procedures are
-    guaranteed to succeed at their entry sizes.
+    middle edges of the stretch.  None of the steps can fail: the path
+    procedures are guaranteed to succeed at their entry sizes.
     """
     d = cycle.vertices
     ce = cycle.edges

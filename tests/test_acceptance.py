@@ -144,8 +144,7 @@ def test_criterion_6_path_coverage():
     _report(
         6,
         "fixture battery drives every solver path: "
-        + " ".join(f"{k}={v}" for k, v in total.as_dict().items())
-        + (" (fallback target met)" if total.fallback_uses == 0 else " (INVESTIGATE fallback)"),
+        + " ".join(f"{k}={v}" for k, v in total.as_dict().items()),
     )
 
 

@@ -1,7 +1,10 @@
+import ast
+import inspect
+
 import pytest
 
 import strongcolor as sc
-from strongcolor import ListAssignment, PartialColoring, PeelState, SolveStats
+from strongcolor import ListAssignment, PartialColoring, PeelState, SolveStats, oracle, solver
 from strongcolor.generate import SplitMix64
 
 from conftest import assert_valid_strong, c4_gadget, c6_gadget, cycle_gadget, rand_b23
@@ -97,9 +100,6 @@ def _c6_lists(b, by_role):
     return ListAssignment({edge_of[r]: frozenset(cs) for r, cs in by_role.items()})
 
 
-CYCLE5 = {0, 10, 11, 12, 13}
-
-
 class TestExtendC4:
     def setup_method(self):
         self.b = c4_gadget()
@@ -122,7 +122,7 @@ class TestExtendC4:
         lists.update({e: {1, 2, 3} for e in self.pend})
         pc, stats = self.run(ListAssignment(lists))
         assert pc.get(self.pend[0]) == pc.get(self.pend[1])
-        assert stats.c4_extensions == 1 and stats.fallback_uses == 0
+        assert stats.c4_extensions == 1
 
     def test_disjoint_pendants_rainbow(self):
         lists = {e: {1, 2, 3, 4, 5} for e in self.cyc}
@@ -138,8 +138,7 @@ class TestExtendC4:
             palette = 6 + rng.below(7)
             lists = {e: set(rng.subset(5, palette)) for e in self.cyc}
             lists.update({e: set(rng.subset(3, palette)) for e in self.pend})
-            _, stats = self.run(ListAssignment(lists))
-            assert stats.fallback_uses == 0
+            self.run(ListAssignment(lists))
 
 
 class TestExtendC4Coincident:
@@ -160,148 +159,64 @@ class TestExtendC6:
         self.cycle = sc.shortest_cycle(self.b)
         self.cg = sc.build_conflict_graph(self.b)
 
-    def run(self, by_role, expect_fallback=0):
+    def run(self, by_role):
         L = _c6_lists(self.b, by_role)
         pc = PartialColoring()
         stats = SolveStats()
         sc.extend_c6(L, pc, self.cycle, self.cg, stats)
         assert_valid_strong(self.b, L, pc)
         assert len(pc.assigned) == 9
-        assert stats.fallback_uses == expect_fallback
+        assert stats.c6_extensions == 1
         return pc, stats
 
-    def base(self, **overrides):
+    def test_hall_corner_colors_without_search(self):
+        # no rainbow choice exists for the seven edges left after the old
+        # chain's shared color; one pendant color and three pairs avoid it
         by_role = {
-            "uv": {0, 30, 31, 32, 33},
-            "xy": {0, 40, 41, 42, 43},
-            "vw": set(CYCLE5),
-            "wx": set(CYCLE5),
-            "yz": set(CYCLE5),
-            "zu": set(CYCLE5),
+            "uv": {0, 7, 8, 9, 10},
+            "xy": {0, 7, 8, 9, 10},
+            "vw": {0, 1, 2, 3, 4},
+            "wx": {0, 3, 4, 5, 6},
+            "yz": {0, 1, 2, 5, 6},
+            "zu": {0, 1, 2, 5, 6},
             "up": {0, 1, 2},
             "wp": {0, 3, 4},
             "yp": {0, 5, 6},
         }
-        by_role.update(overrides)
-        return by_role
-
-    def test_pairing_up_yp(self):
-        pc, _ = self.run(self.base(yp={0, 1, 9}))
-        assert pc.get(6) == pc.get(8) == 1
-
-    def test_pairing_wp_yp(self):
-        pc, _ = self.run(self.base(yp={0, 3, 9}))
-        assert pc.get(7) == pc.get(8) == 3
-
-    def test_pairing_wp_up(self):
-        pc, _ = self.run(self.base(wp={0, 1, 9}))
-        assert pc.get(7) == pc.get(6) == 1
-
-    def test_pairing_up_wx(self):
-        pc, _ = self.run(self.base(wx={0, 1, 10, 11, 12}))
-        assert pc.get(6) == pc.get(3) == 1
-
-    def test_pairing_yp_vw(self):
-        pc, _ = self.run(self.base(vw={0, 5, 10, 11, 12}))
-        assert pc.get(8) == pc.get(2) == 5
-
-    def test_pairing_wp_yz(self):
-        pc, _ = self.run(self.base(yz={0, 3, 10, 11, 12}))
-        assert pc.get(7) == pc.get(5) == 3
-
-    def test_pairing_wp_zu(self):
-        pc, _ = self.run(self.base(zu={0, 3, 10, 11, 12}))
-        assert pc.get(7) == pc.get(0) == 3
-
-    def test_terminal_rainbow_on_seven(self):
-        _, stats = self.run(self.base())
-        assert stats.sdr_calls == 1
-
-    def test_hall_corner_uses_fallback(self):
-        # all compatible pairs disjoint after the shared color, yet the seven
-        # remaining lists live inside six colors: no rainbow choice exists
-        by_role = self.base(
-            uv={0, 7, 8, 9, 10},
-            xy={0, 7, 8, 9, 10},
-            vw={0, 1, 2, 3, 4},
-            wx={0, 3, 4, 5, 6},
-            yz={0, 1, 2, 5, 6},
-            zu={0, 1, 2, 5, 6},
-        )
-        pc, _ = self.run(by_role, expect_fallback=1)
-        # the fallback's exact output: most-constrained edge first, colors ascending
-        assert pc.assigned == {0: 1, 1: 7, 2: 2, 3: 3, 4: 7, 5: 2, 6: 0, 7: 0, 8: 0}
-
-    def test_rotated_opposite_pair(self):
-        # (uv, xy) disjoint but the rotated pair (vw, yz) shares a color
-        by_role = self.base(
-            uv={1, 2, 3, 4, 5},
-            xy={6, 7, 8, 9, 10},
-            vw={0, 11, 12, 13, 14},
-            yz={0, 15, 16, 17, 18},
-            wx={21, 22, 23, 24, 25},
-            zu={26, 27, 28, 29, 30},
-            up={31, 32, 33},
-            wp={34, 35, 36},
-            yp={37, 38, 39},
-        )
-        pc, _ = self.run(by_role)
-        assert pc.get(2) == pc.get(5) == 0
+        pc, stats = self.run(by_role)
+        assert pc.assigned == {0: 5, 1: 7, 2: 1, 3: 5, 4: 7, 5: 1, 6: 0, 7: 0, 8: 0}
+        assert stats.sdr_calls == 0
 
     def test_prefix_lists_extend_validly(self):
-        # identical prefix lists everywhere: the first shared-color case fires
         by_role = {r: {1, 2, 3, 4, 5} for r in ("uv", "vw", "wx", "xy", "yz", "zu")}
         by_role.update({r: {1, 2, 3} for r in ("up", "wp", "yp")})
         self.run(by_role)
 
-    def test_second_rotation_fires(self):
-        # only the pair (wx, zu) shares a color: frame 2 handles it
-        by_role = self.base(
-            uv={1, 2, 3, 4, 5},
-            xy={6, 7, 8, 9, 10},
-            vw={11, 12, 13, 14, 15},
-            yz={16, 17, 18, 19, 20},
-            wx={0, 21, 22, 23, 24},
-            zu={0, 25, 26, 27, 28},
-            up={31, 32, 33},
-            wp={34, 35, 36},
-            yp={37, 38, 39},
-        )
-        pc, _ = self.run(by_role)
-        assert pc.get(3) == pc.get(0) == 0
-
-    def test_equal_pendants_one_color(self):
+    @pytest.mark.parametrize("left", [0, 1, 2, 3])
+    def test_pairs_left_for_the_rainbow_step(self, left):
+        # the pendants take 1, 2, 3, which leaves every cycle edge exactly
+        # three colors: {4, 5, 6}, or {7, 8, 9} on the last ``left`` of
+        # wx, xy, yz.  Each of those makes its opposite pair disjoint.
         by_role = {
-            "uv": {1, 2, 3, 4, 5},
-            "vw": {1, 2, 3, 4, 5},
-            "wx": {1, 2, 3, 4, 5},
-            "xy": {6, 7, 8, 9, 10},
-            "yz": {6, 7, 8, 9, 10},
-            "zu": {6, 7, 8, 9, 10},
-            "up": {11, 12, 13},
-            "wp": {11, 12, 13},
-            "yp": {11, 12, 13},
+            "up": {1, 10, 11},
+            "wp": {2, 12, 13},
+            "yp": {3, 14, 15},
+            "zu": {1, 3, 4, 5, 6},
+            "uv": {1, 2, 4, 5, 6},
+            "vw": {1, 2, 4, 5, 6},
+            "wx": {2, 3, 4, 5, 6},
+            "xy": {2, 3, 4, 5, 6},
+            "yz": {1, 3, 4, 5, 6},
         }
+        for role in ("wx", "xy", "yz")[3 - left :]:
+            by_role[role] = by_role[role] - {4, 5, 6} | {7, 8, 9}
         pc, stats = self.run(by_role)
-        assert pc.get(6) == pc.get(7) == pc.get(8) == 11
-        assert stats.sdr_calls == 0
+        assert [pc.get(e) for e in (6, 7, 8)] == [1, 2, 3]
+        shared = [pc.get(i) == pc.get(i + 3) for i in range(3)]
+        assert shared == [True] * (3 - left) + [False] * left
+        assert stats.sdr_calls == (1 if left else 0)
 
-    def test_unequal_pendants_rainbow_on_nine(self):
-        by_role = {
-            "uv": {1, 2, 3, 4, 5},
-            "vw": {1, 2, 3, 4, 5},
-            "wx": {1, 2, 3, 4, 5},
-            "xy": {6, 7, 8, 9, 10},
-            "yz": {6, 7, 8, 9, 10},
-            "zu": {6, 7, 8, 9, 10},
-            "up": {11, 12, 13},
-            "wp": {11, 12, 13},
-            "yp": {11, 12, 14},
-        }
-        _, stats = self.run(by_role)
-        assert stats.sdr_calls == 1
-
-    def test_nine_list_hall_failure_uses_fallback(self):
+    def test_nine_list_colors_without_search(self):
         by_role = {
             "uv": {1, 2, 3, 4, 5},
             "vw": {1, 2, 3, 4, 5},
@@ -313,13 +228,14 @@ class TestExtendC6:
             "wp": {1, 2, 3},
             "yp": {1, 2, 4},
         }
-        pc, _ = self.run(by_role, expect_fallback=1)
-        assert pc.assigned == {0: 6, 1: 2, 2: 3, 3: 4, 4: 7, 5: 8, 6: 1, 7: 1, 8: 1}
+        pc, stats = self.run(by_role)
+        assert pc.assigned == {0: 8, 1: 4, 2: 3, 3: 2, 4: 7, 5: 6, 6: 1, 7: 1, 8: 1}
+        assert stats.sdr_calls == 1
 
     def test_random_exact_entry_sizes(self):
         rng = SplitMix64(6)
         for trial in range(300):
-            palette = 6 + rng.below(7)
+            palette = 5 + rng.below(8)
             by_role = {r: set(rng.subset(5, palette)) for r in ("uv", "vw", "wx", "xy", "yz", "zu")}
             by_role.update({r: set(rng.subset(3, palette)) for r in ("up", "wp", "yp")})
             self.run(by_role)
@@ -342,7 +258,6 @@ class TestExtendLongCycle:
             stats = SolveStats()
             sc.extend_long_cycle(L, pc, cycle, cg, stats)
             assert_valid_strong(b, L, pc, total=True)
-            assert stats.fallback_uses == 0
 
     def test_rejects_short_cycle(self):
         b = c6_gadget()
@@ -471,4 +386,16 @@ class TestPathCoverage:
         assert total.c4_extensions >= 1
         assert total.c6_extensions >= 1
         assert total.long_cycle_extensions >= 1
-        assert total.fallback_uses == 0
+
+
+def test_solver_cannot_reach_the_search():
+    """No code path in the solver can call the oracle's exhaustive search."""
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(solver))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert not any(name.rsplit(".", 1)[-1] == "oracle" for name in imported), imported
+    assert "exhaustive_search" not in vars(solver)
+    assert all(v is not oracle and v is not oracle.exhaustive_search for v in vars(solver).values())
