@@ -57,7 +57,7 @@ def test_golden_criterion3_corpus():
         chunks.append(fileio.coloring_to_text(coloring, "incidence"))
         total.merge(stats)
     assert _digest(chunks) == (
-        "100783fce075465b564ef2efc825ba7f958dc8203b197432274dc5cf6ca39779"
+        "6926c4110a214ee3cf899415d98fd2bd5992dcdb6d19d672398681ec6d709a81"
     )
     assert total.as_dict() == {
         "peeled_edges": 75798,
@@ -65,8 +65,7 @@ def test_golden_criterion3_corpus():
         "c6_extensions": 133,
         "long_cycle_extensions": 49,
         "k23_base_cases": 3,
-        "fallback_uses": 0,
-        "sdr_calls": 12,
+        "sdr_calls": 21,
     }
 
 
@@ -82,7 +81,6 @@ def test_golden_criterion7_instance():
         "c6_extensions": 0,
         "long_cycle_extensions": 1,
         "k23_base_cases": 0,
-        "fallback_uses": 0,
         "sdr_calls": 0,
     }
 
@@ -99,7 +97,7 @@ def test_golden_extension_corpus():
     assert total.long_cycle_extensions >= 1
     assert total.sdr_calls >= 1
     assert _digest(chunks) == (
-        "3ddd93661819fdd4df2222369311e90fd0bb7726d5d70490c7b624513d1d82d9"
+        "3a5a48a8ac3e4e89cd32a48b89bc1993b033faaa4f6faa95e1c93ef89da087b4"
     )
     assert total.as_dict() == {
         "peeled_edges": 69999,
@@ -107,6 +105,5 @@ def test_golden_extension_corpus():
         "c6_extensions": 269,
         "long_cycle_extensions": 678,
         "k23_base_cases": 5,
-        "fallback_uses": 0,
-        "sdr_calls": 257,
+        "sdr_calls": 303,
     }
