@@ -68,6 +68,29 @@ def _int(value, what: str) -> int:
     return value
 
 
+_JSON_NAMES = {
+    type(None): "null",
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+}
+
+
+def _member(obj: dict, name: str, kind: type, where: str):
+    """``obj[name]``, which must be present and a JSON value of type ``kind``."""
+    if name not in obj:
+        raise FormatError(f"{where} has no {name!r} field")
+    value = obj[name]
+    if type(value) is not kind:
+        raise FormatError(
+            f"{name!r} in {where} must be {_JSON_NAMES[kind]}, got {_JSON_NAMES[type(value)]}"
+        )
+    return value
+
+
 # -- graphs ------------------------------------------------------------------
 
 
@@ -95,26 +118,31 @@ def graph_from_text(text: str) -> Union[Multigraph, BipartiteGraph]:
     kind = doc.get("kind")
     if kind not in ("multigraph", "bipartite"):
         raise FormatError(f"unknown graph kind {kind!r}")
-    try:
-        n = _int(doc["vertex_count"], "vertex_count")
-        pairs = [(_int(u, "an endpoint"), _int(v, "an endpoint")) for u, v in doc["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed graph document: {exc}") from exc
+    n = _member(doc, "vertex_count", int, "the graph document")
+    edges = _member(doc, "edges", list, "the graph document")
+    for i, pair in enumerate(edges):
+        if (
+            type(pair) is not list
+            or len(pair) != 2
+            or type(pair[0]) is not int
+            or type(pair[1]) is not int
+        ):
+            raise FormatError(f"edge {i} must be a list of two integers")
     if n < 0:
         raise FormatError(f"vertex_count must be non-negative, got {n}")
     if n > MAX_VERTEX_COUNT:
         raise FormatError(f"vertex_count {n} is above the cap of {MAX_VERTEX_COUNT}")
     try:
-        g = build_multigraph(n, pairs)
+        g = build_multigraph(n, edges)
     except InputError as exc:
         raise FormatError(f"graph document does not encode a valid graph: {exc}") from exc
     if kind == "multigraph":
         return g
-    try:
-        part_a = {_int(v, "a part vertex") for v in doc["parts"]["A"]}
-        part_b = {_int(v, "a part vertex") for v in doc["parts"]["B"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed parts: {exc}") from exc
+    parts = _member(doc, "parts", dict, "a bipartite graph document")
+    part_a, part_b = (
+        {_int(v, f"a vertex of part {name}") for v in _member(parts, name, list, "'parts'")}
+        for name in "AB"
+    )
     if part_a | part_b != set(range(n)) or part_a & part_b:
         raise FormatError("parts must partition the vertex set")
     labels = [PART_A if v in part_a else PART_B for v in range(n)]

@@ -220,6 +220,47 @@ class TestCliColor:
         bad.write_text("{broken")
         assert run_cli("color", bad, "--uniform", 6).returncode == 2
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("edges", [[0, 1, 2]], "edge 0 must be a list of two integers"),
+            ("edges", [[0, 1], [1]], "edge 1 must be a list of two integers"),
+            ("edges", [[0, 1], 7], "edge 1 must be a list of two integers"),
+            ("edges", {"0": [0, 1]}, "'edges' in the graph document must be a list, got an object"),
+            ("edges", None, "the graph document has no 'edges' field"),
+            ("vertex_count", None, "the graph document has no 'vertex_count' field"),
+            (
+                "vertex_count",
+                "2",
+                "'vertex_count' in the graph document must be an integer, got a string",
+            ),
+            ("parts", {"A": [0]}, "'parts' has no 'B' field"),
+            ("parts", {"A": [0], "B": 1}, "'B' in 'parts' must be a list, got an integer"),
+            (
+                "parts",
+                [[0], [1]],
+                "'parts' in a bipartite graph document must be an object, got a list",
+            ),
+            ("parts", None, "a bipartite graph document has no 'parts' field"),
+        ],
+    )
+    def test_malformed_graph_names_the_problem(self, tmp_path, capsys, field, value, message):
+        doc = {
+            "format_version": 1,
+            "kind": "bipartite",
+            "vertex_count": 2,
+            "edges": [[0, 1]],
+            "parts": {"A": [0], "B": [1]},
+        }
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        bad = tmp_path / "bad.graph"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["color", str(bad), "--uniform", "6"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_negative_vertex_count(self, tmp_path):
         bad = tmp_path / "bad.graph"
         bad.write_text(json.dumps(
