@@ -50,6 +50,7 @@ from .graph import (
 )
 from .matching import SdrProblem, rainbow_sdr
 
+
 @dataclass
 class SolveStats:
     """Counters describing which parts of the case machinery a solve used."""
@@ -582,9 +583,8 @@ def extend_c6(
       finishes.
     """
     d, ce = cycle.vertices, cycle.edges
-    for i in (1, 3, 5):
-        if d[i] not in cycle.pendant:
-            raise InternalInvariant(f"cycle vertex {d[i]} lacks a pendant")
+    if any(d[i] not in cycle.pendant for i in (1, 3, 5)):
+        raise InternalInvariant("6-cycle extension needs pendants at all three B-vertices")
     pendants = [cycle.pendant[d[i]][1] for i in (1, 3, 5)]
     region = _Region(L, pc, cg, list(ce) + pendants)
     stats.c6_extensions += 1

@@ -21,6 +21,9 @@ CLI_ENV = dict(
 )
 
 
+MISSING = object()  # a field left out of its document
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "strongcolor", *map(str, args)],
@@ -227,8 +230,8 @@ class TestCliColor:
             ("edges", [[0, 1], [1]], "edge 1 must be a list of two integers"),
             ("edges", [[0, 1], 7], "edge 1 must be a list of two integers"),
             ("edges", {"0": [0, 1]}, "'edges' in the graph document must be a list, got an object"),
-            ("edges", None, "the graph document has no 'edges' field"),
-            ("vertex_count", None, "the graph document has no 'vertex_count' field"),
+            ("edges", MISSING, "the graph document has no 'edges' field"),
+            ("vertex_count", MISSING, "the graph document has no 'vertex_count' field"),
             (
                 "vertex_count",
                 "2",
@@ -241,7 +244,7 @@ class TestCliColor:
                 [[0], [1]],
                 "'parts' in a bipartite graph document must be an object, got a list",
             ),
-            ("parts", None, "a bipartite graph document has no 'parts' field"),
+            ("parts", MISSING, "a bipartite graph document has no 'parts' field"),
         ],
     )
     def test_malformed_graph_names_the_problem(self, tmp_path, capsys, field, value, message):
@@ -252,7 +255,7 @@ class TestCliColor:
             "edges": [[0, 1]],
             "parts": {"A": [0], "B": [1]},
         }
-        if value is None:
+        if value is MISSING:
             del doc[field]
         else:
             doc[field] = value

@@ -92,7 +92,11 @@ class TestGreedyUnwind:
 
 
 def _c6_lists(b, by_role):
-    """Build a ListAssignment for the c6 gadget keyed by frame-0 role names."""
+    """Build a ListAssignment for the c6 gadget keyed by role names.
+
+    The cycle is u-v-w-x-y-z, with pendants up, wp and yp at u, w and y.
+    The opposite pairs are (zu, wx), (uv, xy) and (vw, yz).
+    """
     edge_of = {
         "zu": 0, "uv": 1, "vw": 2, "wx": 3, "xy": 4, "yz": 5,
         "up": 6, "wp": 7, "yp": 8,
@@ -170,8 +174,9 @@ class TestExtendC6:
         return pc, stats
 
     def test_hall_corner_colors_without_search(self):
-        # no rainbow choice exists for the seven edges left after the old
-        # chain's shared color; one pendant color and three pairs avoid it
+        # a shared color on (uv, xy) first leaves the other seven edges
+        # with no rainbow choice; pendant color 0 and three shared pairs
+        # need none
         by_role = {
             "uv": {0, 7, 8, 9, 10},
             "xy": {0, 7, 8, 9, 10},
