@@ -10,9 +10,10 @@ and say why.
 import hashlib
 
 import strongcolor as sc
-from strongcolor import SolveStats, fileio
+from strongcolor import ListAssignment, PartialColoring, SolveStats, fileio
 from strongcolor.generate import SplitMix64
 
+from conftest import five_path_graph, odd_path_graph
 from test_acceptance import _criterion3_instances
 
 
@@ -107,3 +108,38 @@ def test_golden_extension_corpus():
         "k23_base_cases": 5,
         "sdr_calls": 303,
     }
+
+
+def _standalone_lists(rng, sizes):
+    """Lists of entry size + 0-2 colors from a palette of 5-13, keyed by standalone edge id."""
+    palette = 5 + rng.below(9)
+    return ListAssignment(
+        {e: frozenset(rng.subset(min(k + rng.below(3), palette), palette))
+         for e, k in enumerate(sizes)}
+    )
+
+
+def test_golden_path_procedures():
+    """Both path procedures alone: their ordered assignments and rainbow-step counts.
+
+    Standalone edge ids run uv, vw, wx, xy, vz, xt for the five-path, and
+    path edges then pendants for the odd path; the entry sizes below are
+    written out here rather than read from the solver.
+    """
+    rng = SplitMix64(20261018)
+    chunks = []
+    runs = [(five_path_graph(), sc.FivePathConfig.standalone(), sc.precolor_five_path,
+             (5, 5, 5, 5, 3, 3), 2000)]
+    for n in range(5, 14, 2):
+        sizes = (3, 4) + (5,) * (n - 5) + (4, 3) + (2,) + (3,) * ((n - 5) // 2) + (2,)
+        runs.append((odd_path_graph(n), sc.OddPathConfig.standalone(n), sc.color_odd_path,
+                     sizes, 500))
+    for b, cfg, procedure, sizes, count in runs:
+        cg = sc.build_conflict_graph(b)
+        for _ in range(count):
+            stats = SolveStats()
+            pc = procedure(_standalone_lists(rng, sizes), PartialColoring(), cfg, cg, stats)
+            chunks.append(repr((list(pc.assigned.items()), stats.sdr_calls)))
+    assert _digest(chunks) == (
+        "bbe751a9effe3aa9e4da2872d598b85608c5434944ed9813c2a2eefd84ef3de1"
+    )
