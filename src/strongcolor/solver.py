@@ -157,33 +157,53 @@ def greedy_unwind(
 # five-vertex path with two pendants: the precoloring seed
 
 
-_FIVE_ROLES = ("uv", "vw", "wx", "xy", "vz", "xt")
-_FIVE_SIZES = {"uv": 5, "vw": 5, "wx": 5, "xy": 5, "vz": 3, "xt": 3}
+_FIVE_SIZES = (5, 5, 5, 5, 3, 3)
 
 
 @dataclass(frozen=True)
 class FivePathConfig:
     """Path u-v-w-x-y plus pendants v-z and x-t.
 
-    ``edge_ids`` maps each role ("uv", "vw", "wx", "xy", "vz", "xt") to the
-    real edge id.  Entry lists must hold at least 5,5,5,5,3,3 available
-    colors in role order.
+    ``edges`` holds the real edge ids in the order uv, vw, wx, xy, vz, xt.
+    Entry lists must hold at least 5,5,5,5,3,3 available colors in that
+    order.
     """
 
     vertices: Tuple[int, ...]  # u, v, w, x, y, z, t
-    edge_ids: Mapping[str, int]
+    edges: Tuple[int, ...]  # uv, vw, wx, xy, vz, xt
 
     def __post_init__(self):
         if len(set(self.vertices)) != 7:
             raise ValueError("the seven configuration vertices must be distinct")
-        for role in _FIVE_ROLES:
-            if role not in self.edge_ids:
-                raise ValueError(f"missing edge role {role}")
+        if len(self.edges) != 6:
+            raise ValueError(f"expected six edges uv, vw, wx, xy, vz, xt, got {len(self.edges)}")
 
     @staticmethod
     def standalone() -> "FivePathConfig":
-        """Standalone instance: vertices 0..6 and edge ids 0..5 in role order."""
-        return FivePathConfig(tuple(range(7)), {role: i for i, role in enumerate(_FIVE_ROLES)})
+        """Standalone instance: vertices 0..6 and edge ids 0..5 in edge order."""
+        return FivePathConfig(tuple(range(7)), tuple(range(6)))
+
+
+def _color_outside(region: _Region, e: int, f: int, avoid: int) -> int:
+    """Give e or f (e on a tie) the smallest color of theirs outside avoid's list.
+
+    Returns the edge left uncolored.
+    """
+    outside = (region.avail[e] | region.avail[f]) - region.avail[avoid]
+    if not outside:
+        raise InternalInvariant(f"pigeonhole failed: edges {e}, {f} hold only colors of {avoid}")
+    color = min(outside)
+    first, other = (e, f) if color in region.avail[e] else (f, e)
+    region.assign(first, color)
+    return other
+
+
+def _color_sparing(region: _Region, e: int, keep: int) -> None:
+    """Give e its smallest color that leaves edge keep with at least 3 colors."""
+    color = next((c for c in sorted(region.avail[e]) if len(region.avail[keep] - {c}) >= 3), None)
+    if color is None:
+        raise InternalInvariant(f"pigeonhole failed protecting edge {keep}")
+    region.assign(e, color)
 
 
 def precolor_five_path(
@@ -194,8 +214,8 @@ def precolor_five_path(
     stats: SolveStats,
 ) -> PartialColoring:
     """Color uv, vz, xy, xt so the middle edges keep |L(vw)| >= 3, |L(wx)| >= 2."""
-    region = _path_region(L, pc, cg, {cfg.edge_ids[r]: k for r, k in _FIVE_SIZES.items()})
-    uv, vw, wx, xy, vz, xt = (cfg.edge_ids[r] for r in _FIVE_ROLES)
+    region = _path_region(L, pc, cg, cfg.edges, _FIVE_SIZES)
+    uv, vw, wx, xy, vz, xt = cfg.edges
     avail = region.avail
 
     pend_common = region.common(vz, xt)
@@ -204,54 +224,26 @@ def precolor_five_path(
         alpha = min(pend_common)
         region.assign(vz, alpha)
         region.assign(xt, alpha)
-        end_common = region.common(uv, xy)
-        if end_common:
-            beta = min(end_common)
-            region.assign(uv, beta)
-            region.assign(xy, beta)
-        else:
-            # disjoint 4-lists: their union beats |L(vw)|, so one end edge
-            # can be colored without touching vw at all
-            union = sorted((avail[uv] | avail[xy]) - avail[vw])
-            if not union:
-                raise InternalInvariant("pigeonhole failed on the end edges")
-            gamma = union[0]
-            e3 = uv if gamma in avail[uv] else xy
-            e4 = xy if e3 == uv else uv
-            region.assign(e3, gamma)
-            region.assign_min(e4)
+        pend_left = None
     else:
         # pendant lists disjoint: their union has 6 colors, one avoids vw
-        union = sorted((avail[vz] | avail[xt]) - avail[vw])
-        if not union:
-            raise InternalInvariant("pigeonhole failed on the pendant edges")
-        alpha = union[0]
-        e1 = vz if alpha in avail[vz] else xt
-        e2 = xt if e1 == vz else vz
-        region.assign(e1, alpha)
-        end_common = region.common(uv, xy)
-        if end_common:
-            beta = min(end_common)
-            region.assign(uv, beta)
-            region.assign(xy, beta)
-            region.assign_min(e2)
+        pend_left = _color_outside(region, vz, xt, vw)
+    end_common = region.common(uv, xy)
+    if end_common:
+        beta = min(end_common)
+        region.assign(uv, beta)
+        region.assign(xy, beta)
+    else:
+        # disjoint 4-lists: their union beats |L(vw)|, so one end edge
+        # can be colored without touching vw at all
+        end_left = _color_outside(region, uv, xy, vw)
+        if pend_left is None:
+            region.assign_min(end_left)
         else:
-            union2 = sorted((avail[uv] | avail[xy]) - avail[vw])
-            if not union2:
-                raise InternalInvariant("pigeonhole failed on the end edges")
-            gamma = union2[0]
-            e3 = uv if gamma in avail[uv] else xy
-            e4 = xy if e3 == uv else uv
-            region.assign(e3, gamma)
-            # e4 has >= 4 colors while wx has >= 3: some choice keeps wx at 3
-            beta = next(
-                (c for c in sorted(avail[e4]) if len(avail[wx] - {c}) >= 3),
-                None,
-            )
-            if beta is None:
-                raise InternalInvariant("pigeonhole failed protecting wx")
-            region.assign(e4, beta)
-            region.assign_min(e2)
+            # end_left has >= 4 colors while wx has >= 3: some choice keeps wx at 3
+            _color_sparing(region, end_left, wx)
+    if pend_left is not None:
+        region.assign_min(pend_left)
 
     if len(avail[vw]) < 3 or len(avail[wx]) < 2:
         raise InternalInvariant(
@@ -264,139 +256,101 @@ def precolor_five_path(
 # odd path with pendants at even positions: total coloring by induction
 
 
-def _odd_required_sizes(n: int) -> Dict[tuple, int]:
-    req = {
-        ("p", 1): 3,
-        ("q", 2): 2,
-        ("p", 2): 4,
-        ("p", n - 2): 4,
-        ("q", n - 1): 2,
-        ("p", n - 1): 3,
-    }
-    for i in range(3, n - 2):
-        req.setdefault(("p", i), 5)
-    for j in range(4, n - 2, 2):
-        req.setdefault(("q", j), 3)
-    return req
+def _odd_sizes(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Entry sizes of the path edges and of the pendant edges for n vertices."""
+    return (3, 4) + (5,) * (n - 5) + (4, 3), (2,) + (3,) * (n // 2 - 2) + (2,)
 
 
 @dataclass(frozen=True)
 class OddPathConfig:
     """Path v_1..v_n (n odd >= 5) with a pendant at every even position.
 
-    ``path_edges[i-1]`` joins v_i and v_{i+1}; ``pendant_edges[i]`` joins
-    v_i and its pendant neighbor.  Entry lists must meet the size table
-    (3,2,4 at each end, 5 and 3 in the middle).
+    ``path_edges[i]`` joins v_{i+1} and v_{i+2}; ``pendant_vertices[k]``
+    and ``pendant_edges[k]`` belong to v_{2k+2}.  Entry lists must meet
+    ``_odd_sizes`` (3,4 at each end of the path and 2 on the end pendants,
+    5 and 3 in the middle).
     """
 
     path_vertices: Tuple[int, ...]
-    pendant_vertices: Mapping[int, int]
+    pendant_vertices: Tuple[int, ...]
     path_edges: Tuple[int, ...]
-    pendant_edges: Mapping[int, int]
-
-    @property
-    def n(self) -> int:
-        return len(self.path_vertices)
+    pendant_edges: Tuple[int, ...]
 
     def __post_init__(self):
-        n = self.n
+        n = len(self.path_vertices)
         if n < 5 or n % 2 == 0:
             raise ValueError(f"path length must be odd and >= 5, got {n}")
         if len(self.path_edges) != n - 1:
             raise ValueError("path edge count mismatch")
-        evens = list(range(2, n, 2))
-        if sorted(self.pendant_edges) != evens or sorted(self.pendant_vertices) != evens:
+        if not len(self.pendant_edges) == len(self.pendant_vertices) == n // 2:
             raise ValueError("pendants must sit exactly at the even positions")
-        names = list(self.path_vertices) + [self.pendant_vertices[j] for j in evens]
+        names = (*self.path_vertices, *self.pendant_vertices)
         if len(set(names)) != len(names):
             raise ValueError("configuration vertices must be distinct")
-
-    def edge_for(self, role: tuple) -> int:
-        kind, i = role
-        return self.path_edges[i - 1] if kind == "p" else self.pendant_edges[i]
 
     @staticmethod
     def standalone(n: int) -> "OddPathConfig":
         """Standalone instance: path vertices and edges first, then pendants."""
-        path_vertices = tuple(range(n))
-        pendant_vertices = {j: n - 1 + j // 2 for j in range(2, n, 2)}
-        path_edges = tuple(range(n - 1))
-        pendant_edges = {j: n - 2 + j // 2 for j in range(2, n, 2)}
-        return OddPathConfig(path_vertices, pendant_vertices, path_edges, pendant_edges)
+        half = n // 2
+        return OddPathConfig(
+            tuple(range(n)),
+            tuple(range(n, n + half)),
+            tuple(range(n - 1)),
+            tuple(range(n - 1, n - 1 + half)),
+        )
 
 
-# Base-case pairing orders.  Each entry pairs two mutually compatible edges
-# with one shared color; the complementary compatible pair is what remains
-# besides the two middle edges.  The "A" order is sound for the entry shape
-# (end 3, pendant 2); the "B" order for the shape (end 2, pendant 3) that
-# the reduction step leaves behind.  Soundness of each step uses only the
-# disjointness of the pairs tried before it.
+# Base-case pairing orders.  Each entry (x, y) pairs the compatible edges
+# (a1, p1)[x] and (a2, p2)[y] with one shared color; the complementary
+# compatible pair (1 - x, 1 - y) is what remains besides the two middle
+# edges.  The "A" order is sound for the entry shape (end 3, pendant 2)
+# of a window at path index 0; the "B" order for the shape (end 2,
+# pendant 3) that the reduction step leaves behind.  Soundness of each
+# step uses only the disjointness of the pairs tried before it.
 _BASE_ORDERS = {
-    "A": (("p1", "p2"), ("a1", "p2"), ("p1", "a2"), ("a1", "a2")),
-    "B": (("a1", "p2"), ("p1", "p2"), ("a1", "a2"), ("p1", "a2")),
-}
-_BASE_COMPLEMENT = {
-    frozenset(("p1", "p2")): ("a1", "a2"),
-    frozenset(("a1", "p2")): ("p1", "a2"),
-    frozenset(("p1", "a2")): ("a1", "p2"),
-    frozenset(("a1", "a2")): ("p1", "p2"),
+    "A": ((1, 1), (0, 1), (1, 0), (0, 0)),
+    "B": ((0, 1), (1, 1), (0, 0), (1, 0)),
 }
 
 
-def _odd_base(region: _Region, cfg: OddPathConfig, lo: int, shape: str, stats) -> None:
-    """Color the final five-vertex window (six edges)."""
-    names = {
-        "a1": cfg.edge_for(("p", lo)),
-        "m1": cfg.edge_for(("p", lo + 1)),
-        "m2": cfg.edge_for(("p", lo + 2)),
-        "a2": cfg.edge_for(("p", lo + 3)),
-        "p1": cfg.edge_for(("q", lo + 1)),
-        "p2": cfg.edge_for(("q", lo + 3)),
-    }
-    for e_name, f_name in _BASE_ORDERS[shape]:
-        e, f = names[e_name], names[f_name]
-        shared = region.common(e, f)
+def _odd_base(region: _Region, cfg: OddPathConfig, i: int, stats) -> None:
+    """Color the final five-vertex window (six edges) from path index i."""
+    a1, m1, m2, a2 = cfg.path_edges[i:]
+    p1, p2 = cfg.pendant_edges[i // 2:]
+    left, right = (a1, p1), (a2, p2)
+    for x, y in _BASE_ORDERS["A" if i == 0 else "B"]:
+        shared = region.common(left[x], right[y])
         if shared:
             alpha = min(shared)
-            region.assign(e, alpha)
-            region.assign(f, alpha)
-            o1, o2 = (names[r] for r in _BASE_COMPLEMENT[frozenset((e_name, f_name))])
+            region.assign(left[x], alpha)
+            region.assign(right[y], alpha)
+            o1, o2 = left[1 - x], right[1 - y]
             shared2 = region.common(o1, o2)
             if shared2:
                 beta = min(shared2)
                 region.assign(o1, beta)
                 region.assign(o2, beta)
-                region.assign_min(names["m1"])
-                region.assign_min(names["m2"])
+                region.assign_min(m1)
+                region.assign_min(m2)
             else:
-                region.sdr((o1, o2, names["m1"], names["m2"]), stats)
+                region.sdr((o1, o2, m1, m2), stats)
             return
     # every compatible pair has disjoint lists: a rainbow choice exists
-    region.sdr(tuple(names[r] for r in ("a1", "m1", "m2", "a2", "p1", "p2")), stats)
+    region.sdr((a1, m1, m2, a2, p1, p2), stats)
 
 
-def _odd_reduce(region: _Region, cfg: OddPathConfig, lo: int, shape: str) -> None:
-    """Shrink the window by two vertices from the left end.
+def _odd_reduce(region: _Region, cfg: OddPathConfig, i: int) -> None:
+    """Shrink the window by two vertices from path index i.
 
     The second path edge takes a color that leaves the next pendant with 3
     colors; then the end pendant and end edge are colored greedily (end
-    edge first when the entry shape gives it only 2 colors).
+    edge first when, past index 0, the entry shape gives it only 2 colors).
     """
-    second = cfg.edge_for(("p", lo + 1))
-    protect = cfg.edge_for(("q", lo + 3))
-    alpha = next(
-        (c for c in sorted(region.avail[second]) if len(region.avail[protect] - {c}) >= 3),
-        None,
-    )
-    if alpha is None:
-        raise InternalInvariant(f"pigeonhole failed protecting edge {protect}")
-    region.assign(second, alpha)
-    if shape == "A":
-        region.assign_min(cfg.edge_for(("q", lo + 1)))
-        region.assign_min(cfg.edge_for(("p", lo)))
-    else:
-        region.assign_min(cfg.edge_for(("p", lo)))
-        region.assign_min(cfg.edge_for(("q", lo + 1)))
+    end, second = cfg.path_edges[i:i + 2]
+    pendant, protect = cfg.pendant_edges[i // 2:i // 2 + 2]
+    _color_sparing(region, second, protect)
+    for e in (pendant, end) if i == 0 else (end, pendant):
+        region.assign_min(e)
 
 
 def color_odd_path(
@@ -407,15 +361,15 @@ def color_odd_path(
     stats: SolveStats,
 ) -> PartialColoring:
     """Totally color the configuration."""
-    n = cfg.n
-    sizes = {cfg.edge_for(r): k for r, k in _odd_required_sizes(n).items()}
-    region = _path_region(L, pc, cg, sizes)
-    lo, shape = 1, "A"
-    while n - lo + 1 > 5:
-        _odd_reduce(region, cfg, lo, shape)
-        lo += 2
-        shape = "B"
-    _odd_base(region, cfg, lo, shape, stats)
+    path_sizes, pendant_sizes = _odd_sizes(len(cfg.path_vertices))
+    region = _path_region(
+        L, pc, cg, cfg.path_edges + cfg.pendant_edges, path_sizes + pendant_sizes
+    )
+    i = 0
+    while len(cfg.path_edges) - i > 4:
+        _odd_reduce(region, cfg, i)
+        i += 2
+    _odd_base(region, cfg, i, stats)
     return pc
 
 
@@ -470,10 +424,10 @@ class _Region:
             self.assign(e, chosen[e])
 
 
-def _path_region(L, pc, cg, sizes: Mapping[int, int]) -> _Region:
+def _path_region(L, pc, cg, edges: Sequence[int], sizes: Sequence[int]) -> _Region:
     """Region over a path configuration's edges, truncated to their entry sizes."""
-    region = _Region(L, pc, cg, sizes)
-    for e, k in sizes.items():
+    region = _Region(L, pc, cg, edges)
+    for e, k in zip(edges, sizes):
         if len(region.avail[e]) < k:
             raise ListTooSmall(f"edge {e} needs {k} colors, got {len(region.avail[e])}")
         region.truncate(e, k)
@@ -624,45 +578,28 @@ def extend_long_cycle(
     middle edges of the stretch.  None of the steps can fail: the path
     procedures are guaranteed to succeed at their entry sizes.
     """
-    d = cycle.vertices
-    ce = cycle.edges
+    d, ce = cycle.vertices, cycle.edges
     n = len(d)
     if n < 8 or n % 2 != 0:
         raise InternalInvariant(f"long-cycle extension on length {n}")
-    for i in range(1, n, 2):
-        if d[i] not in cycle.pendant:
-            raise InternalInvariant(f"cycle vertex {d[i]} lacks a pendant")
-    pend_edge = {i: cycle.pendant[d[i]][1] for i in range(1, n, 2)}
-    pend_vertex = {i: cycle.pendant[d[i]][0] for i in range(1, n, 2)}
-    edge_ids = list(ce) + [pend_edge[i] for i in range(1, n, 2)]
-    region = _Region(L, pc, cg, edge_ids)
+    for v in d[1::2]:
+        if v not in cycle.pendant:
+            raise InternalInvariant(f"cycle vertex {v} lacks a pendant")
+    # the pendants at v2, v4, ..., vn (= d[1], d[3], ..., d[n-1])
+    pend_vertex, pend_edge = zip(*(cycle.pendant[v] for v in d[1::2]))
+    region = _Region(L, pc, cg, ce + pend_edge)
     stats.long_cycle_extensions += 1
     for e in ce:
         region.truncate(e, 5)
-    for i in range(1, n, 2):
-        region.truncate(pend_edge[i], 3)
+    for e in pend_edge:
+        region.truncate(e, 3)
 
     # step 1: seed on v1..v5 (= d[0..4]) with pendants at v2 and v4
-    cfg1 = FivePathConfig(
-        vertices=(d[0], d[1], d[2], d[3], d[4], pend_vertex[1], pend_vertex[3]),
-        edge_ids={
-            "uv": ce[0],
-            "vw": ce[1],
-            "wx": ce[2],
-            "xy": ce[3],
-            "vz": pend_edge[1],
-            "xt": pend_edge[3],
-        },
-    )
+    cfg1 = FivePathConfig(d[:5] + pend_vertex[:2], ce[:4] + pend_edge[:2])
     precolor_five_path(L, pc, cfg1, cg, stats)
 
     # step 2: odd path v5, v6, ..., vn, v1 with pendants at v6, v8, ..., vn
-    n2 = n - 3
-    path_vertices = tuple(d[4 + k - 1] for k in range(1, n2)) + (d[0],)
-    path_edges = tuple(ce[3 + k] for k in range(1, n2 - 1)) + (ce[n - 1],)
-    pendant_vertices = {k: pend_vertex[3 + k] for k in range(2, n2, 2)}
-    pendant_edges = {k: pend_edge[3 + k] for k in range(2, n2, 2)}
-    cfg2 = OddPathConfig(path_vertices, pendant_vertices, path_edges, pendant_edges)
+    cfg2 = OddPathConfig(d[4:] + d[:1], pend_vertex[2:], ce[4:], pend_edge[2:])
     color_odd_path(L, pc, cfg2, cg, stats)
 
     # step 3: the two remaining middle edges of the seed, narrowed by steps 1-2

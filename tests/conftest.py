@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 import strongcolor as sc
+from strongcolor.solver import _odd_sizes
 
 
 def brute_conflicts(b: sc.BipartiteGraph, e: int) -> set:
@@ -105,6 +106,24 @@ def odd_path_graph(n: int):
         pairs.append((j - 1, nxt))
         nxt += 1
     return sc.infer_parts(sc.build_multigraph(nxt, pairs))
+
+
+def odd_path_lists(rng, n: int, palette: int) -> list:
+    """Lists of exact entry size for the standalone odd path, indexed by edge id.
+
+    Standalone edge ids are the path edges 0..n-2, then the pendant edges.
+    The lists are drawn ends first (first path edge, first pendant, second
+    path edge, then the same three at the far end), then the inner path
+    edges, then the inner pendants; the seeded suites depend on this order.
+    """
+    path_sizes, pendant_sizes = _odd_sizes(n)
+    sizes = path_sizes + pendant_sizes
+    first_q, last_q = n - 1, len(sizes) - 1
+    order = [0, first_q, 1, n - 3, last_q, n - 2, *range(2, n - 3), *range(first_q + 1, last_q)]
+    lists = [None] * len(sizes)
+    for e in order:
+        lists[e] = frozenset(rng.subset(sizes[e], palette))
+    return lists
 
 
 def rand_b23(na: int, nb: int, seed: int) -> sc.BipartiteGraph:

@@ -11,9 +11,9 @@ import pytest
 import strongcolor as sc
 from strongcolor import ListAssignment, SolveStats, fileio
 from strongcolor.generate import SplitMix64
-from strongcolor.solver import _FIVE_ROLES, _odd_required_sizes
+from strongcolor.solver import _FIVE_SIZES
 
-from conftest import five_path_graph, odd_path_graph, assert_valid_strong
+from conftest import five_path_graph, odd_path_graph, odd_path_lists, assert_valid_strong
 
 
 def _report(n, text):
@@ -98,31 +98,30 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_path_procedure_suites():
     rng = SplitMix64(160914)
-    five_sizes = {"uv": 5, "vw": 5, "wx": 5, "xy": 5, "vz": 3, "xt": 3}
     b5 = five_path_graph()
     cg5 = sc.build_conflict_graph(b5)
     for _ in range(10_000):
         palette = 6 + rng.below(7)
-        lists = {r: frozenset(rng.subset(five_sizes[r], palette)) for r in _FIVE_ROLES}
         cfg = sc.FivePathConfig.standalone()
-        L = ListAssignment({cfg.edge_ids[r]: lists[r] for r in _FIVE_ROLES})
+        L = ListAssignment(
+            {e: frozenset(rng.subset(k, palette)) for e, k in zip(cfg.edges, _FIVE_SIZES)}
+        )
         pc = sc.precolor_five_path(L, sc.PartialColoring(), cfg, cg5, sc.SolveStats())
         assert sc.verify_strong(b5, L, pc, cg=cg5) == []
-        assert len(sc.available(cfg.edge_ids["vw"], L, pc, cg5)) >= 3
-        assert len(sc.available(cfg.edge_ids["wx"], L, pc, cg5)) >= 2
+        assert len(sc.available(cfg.edges[1], L, pc, cg5)) >= 3  # vw
+        assert len(sc.available(cfg.edges[2], L, pc, cg5)) >= 2  # wx
     _report(5, "five-path precoloring: 10000/10000 draws meet the 3/2 residual bound")
 
     for n in (5, 7, 9, 11):
-        req = _odd_required_sizes(n)
         bn = odd_path_graph(n)
         cgn = sc.build_conflict_graph(bn)
         for _ in range(10_000):
             palette = 6 + rng.below(7)
-            lists = {role: frozenset(rng.subset(k, palette)) for role, k in req.items()}
+            lists = odd_path_lists(rng, n, palette)
             cfg = sc.OddPathConfig.standalone(n)
-            L = ListAssignment({cfg.edge_for(r): lists[r] for r in req})
+            L = ListAssignment(dict(zip(cfg.path_edges + cfg.pendant_edges, lists)))
             pc = sc.color_odd_path(L, sc.PartialColoring(), cfg, cgn, sc.SolveStats())
-            assert len(pc.assigned) == len(req)
+            assert len(pc.assigned) == len(lists)
             assert sc.verify_strong(bn, L, pc, require_total=True, cg=cgn) == []
         _report(5, f"odd-path coloring n={n}: 10000/10000 draws valid")
 
