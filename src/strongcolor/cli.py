@@ -30,6 +30,7 @@ from .conflict import (
     verify_strong,
 )
 from .errors import (
+    BadSize,
     BudgetExceeded,
     FormatError,
     InputError,
@@ -143,7 +144,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # refused before generating: no reader accepts a larger graph file
+    vertices = {"cubic": args.n, "bipartite": args.na + args.nb}.get(args.family, 0)
     try:
+        if vertices > fileio.MAX_VERTEX_COUNT:
+            raise BadSize(f"{vertices} vertices is above the cap of {fileio.MAX_VERTEX_COUNT}")
         if args.family == "cubic":
             g = random_cubic(args.n, args.seed)
         elif args.family == "bipartite":
@@ -192,6 +197,15 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_stress(args) -> int:
     budget = _oracle_budget()  # up front: a bad value is exit 2, not a failed instance
+    for bad, problem in (
+        (args.count < 0, f"--count must be at least 0, got {args.count}"),
+        (args.k > args.palette, f"--k {args.k} is larger than --palette {args.palette}"),
+        (args.family == "bipartite" and args.size < 0,
+         f"--size must be at least 0, got {args.size}"),
+    ):
+        if bad:
+            sys.stderr.write(f"error: {problem}\n")
+            return EXIT_PARSE
     rng = SplitMix64(args.seed)
     stats = SolveStats()
     ok = 0

@@ -509,6 +509,18 @@ class TestCliStress:
         r = run_cli("stress", "--count", 20, "--seed", 3, "--size", 10, "--family", "cubic")
         assert r.returncode == 0, r.stdout + r.stderr
 
+    @pytest.mark.parametrize("argv, problem", [
+        (["--palette", "3"], "--k 6 is larger than --palette 3"),
+        (["--size", "-5"], "--size must be at least 0, got -5"),
+        (["--count", "-1"], "--count must be at least 0, got -1"),
+    ])
+    def test_bad_arguments_rejected(self, capsys, argv, problem):
+        # checked before the loop, so no instance is reported as failed
+        assert cli.main(["stress", "--count", "3", "--seed", "7", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {problem}\n"
+
 
 def _lists_doc(body: str) -> str:
     return '{"format_version": 1, "lists": {%s}}' % body
@@ -644,3 +656,18 @@ class TestSizeCaps:
         assert f"at most {cli.MAX_UNIFORM_COLORS}" in capsys.readouterr().err
         with pytest.raises(_Allocated):
             cli.main(argv + [str(cli.MAX_UNIFORM_COLORS)])
+
+    @pytest.mark.parametrize("family, sizes", [
+        ("cubic", ["--n", fileio.MAX_VERTEX_COUNT]),
+        ("bipartite", ["--na", fileio.MAX_VERTEX_COUNT * 3 // 5, "--nb",
+                       fileio.MAX_VERTEX_COUNT * 2 // 5]),
+    ])
+    def test_gen_cap(self, monkeypatch, capsys, family, sizes):
+        monkeypatch.setattr(cli, "random_cubic", _refuse)
+        monkeypatch.setattr(cli, "random_23_bipartite", _refuse)
+        argv = ["gen", family] + [str(x) for x in sizes]
+        over = argv[:-1] + [str(sizes[-1] + 1)]
+        assert cli.main(over) == 2
+        assert "above the cap" in capsys.readouterr().err
+        with pytest.raises(_Allocated):
+            cli.main(argv)
