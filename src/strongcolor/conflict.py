@@ -25,10 +25,6 @@ class ListAssignment:
     lists: Dict[int, FrozenSet[int]]
 
     @staticmethod
-    def from_mapping(mapping: Mapping[int, Iterable[int]]) -> "ListAssignment":
-        return ListAssignment({int(e): frozenset(cs) for e, cs in mapping.items()})
-
-    @staticmethod
     def uniform(edge_ids: Iterable[int], k: int) -> "ListAssignment":
         """Identical lists {1..k} on the given edges."""
         palette = frozenset(range(1, k + 1))
@@ -57,9 +53,6 @@ class PartialColoring:
 
     def set(self, e: int, color: int) -> None:
         self.assigned[e] = color
-
-    def copy(self) -> "PartialColoring":
-        return PartialColoring(self.assigned)
 
     def __len__(self) -> int:
         return len(self.assigned)

@@ -177,13 +177,13 @@ class SubdivisionMap:
 
     bipartite: BipartiteGraph
     incidence_to_edge: dict
-    edge_to_mid: tuple
 
     def edge_to_incidence(self, new_edge: int) -> Incidence:
-        u, v = self.bipartite.graph.endpoints(new_edge)
-        n = len(self.edge_to_mid)
-        # midpoint ids start at the original vertex count
-        orig_n = self.bipartite.graph.vertex_count - n
+        g = self.bipartite.graph
+        u, v = g.endpoints(new_edge)
+        # midpoint ids start at the original vertex count, and each original
+        # edge gave one midpoint and two new edges
+        orig_n = g.vertex_count - g.edge_count // 2
         orig_vertex = u if u < orig_n else v
         mid = v if u < orig_n else u
         return Incidence(orig_vertex, mid - orig_n)
@@ -219,7 +219,7 @@ def subdivide(g: Multigraph) -> SubdivisionMap:
     for e in range(m):
         if sg.degree(n + e) != 2:
             raise InternalInvariant(f"midpoint of edge {e} has degree {sg.degree(n + e)}")
-    return SubdivisionMap(bip, incidence_to_edge, tuple(n + e for e in range(m)))
+    return SubdivisionMap(bip, incidence_to_edge)
 
 
 def infer_parts(g: Multigraph) -> BipartiteGraph:
