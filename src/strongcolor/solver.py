@@ -185,9 +185,9 @@ class FivePathConfig:
 
 
 def _color_outside(region: _Region, e: int, f: int, avoid: int) -> int:
-    """Give e or f (e on a tie) the smallest color of theirs outside avoid's list.
+    """Color whichever of e, f holds their smallest color outside avoid's list.
 
-    Returns the edge left uncolored.
+    The lists of e and f are disjoint here.  Returns the edge left uncolored.
     """
     outside = (region.avail[e] | region.avail[f]) - region.avail[avoid]
     if not outside:
@@ -283,7 +283,7 @@ class OddPathConfig:
         if len(self.path_edges) != n - 1:
             raise ValueError("path edge count mismatch")
         if not len(self.pendant_edges) == len(self.pendant_vertices) == n // 2:
-            raise ValueError("pendants must sit exactly at the even positions")
+            raise ValueError(f"need one pendant at each of the {n // 2} even positions")
         names = (*self.path_vertices, *self.pendant_vertices)
         if len(set(names)) != len(names):
             raise ValueError("configuration vertices must be distinct")

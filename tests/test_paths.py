@@ -78,6 +78,15 @@ class TestPrecolorFivePath:
     def test_oversized_lists_are_truncated(self):
         check_five_path([set(range(1, 12))] * 6)
 
+    @pytest.mark.parametrize("vertices, edges", [
+        (tuple(range(7)), tuple(range(5))),
+        (tuple(range(7)), tuple(range(7))),
+        ((0, 1, 2, 3, 4, 5, 0), tuple(range(6))),
+    ])
+    def test_malformed_config_rejected(self, vertices, edges):
+        with pytest.raises(ValueError):
+            FivePathConfig(vertices, edges)
+
     def test_too_small_rejected(self):
         lists = [set(range(k)) for k in _FIVE_SIZES]
         lists[4] = {1, 2}  # vz
@@ -162,6 +171,20 @@ class TestColorOddPath:
     def test_short_path_rejected(self):
         with pytest.raises(ValueError):
             OddPathConfig.standalone(3)
+
+    @pytest.mark.parametrize("make", [
+        lambda c: OddPathConfig(c.path_vertices, c.pendant_vertices[:-1], c.path_edges,
+                                c.pendant_edges[:-1]),
+        lambda c: OddPathConfig(c.path_vertices, c.pendant_vertices, c.path_edges,
+                                c.pendant_edges[:-1]),
+        lambda c: OddPathConfig(c.path_vertices, c.pendant_vertices, c.path_edges[:-1],
+                                c.pendant_edges),
+        lambda c: OddPathConfig(c.path_vertices, (0,) + c.pendant_vertices[1:], c.path_edges,
+                                c.pendant_edges),
+    ])
+    def test_malformed_config_rejected(self, make):
+        with pytest.raises(ValueError):
+            make(OddPathConfig.standalone(7))
 
     def test_undersized_list_rejected(self):
         path_sizes, pendant_sizes = _odd_sizes(5)
