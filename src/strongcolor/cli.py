@@ -143,12 +143,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not violations else EXIT_INVALID
 
 
-def _cmd_gen(args) -> int:
+def _check_vertex_cap(vertices: int) -> None:
     # refused before generating: no reader accepts a larger graph file
-    vertices = {"cubic": args.n, "bipartite": args.na + args.nb}.get(args.family, 0)
+    if vertices > fileio.MAX_VERTEX_COUNT:
+        raise BadSize(f"{vertices} vertices is above the cap of {fileio.MAX_VERTEX_COUNT}")
+
+
+def _cmd_gen(args) -> int:
     try:
-        if vertices > fileio.MAX_VERTEX_COUNT:
-            raise BadSize(f"{vertices} vertices is above the cap of {fileio.MAX_VERTEX_COUNT}")
+        _check_vertex_cap({"cubic": args.n, "bipartite": args.na + args.nb}.get(args.family, 0))
         if args.family == "cubic":
             g = random_cubic(args.n, args.seed)
         elif args.family == "bipartite":
@@ -200,12 +203,18 @@ def _cmd_stress(args) -> int:
     for bad, problem in (
         (args.count < 0, f"--count must be at least 0, got {args.count}"),
         (args.k > args.palette, f"--k {args.k} is larger than --palette {args.palette}"),
-        (args.family == "bipartite" and args.size < 0,
-         f"--size must be at least 0, got {args.size}"),
+        (args.size < 0, f"--size must be at least 0, got {args.size}"),
     ):
         if bad:
             sys.stderr.write(f"error: {problem}\n")
             return EXIT_PARSE
+    n = max(4, args.size + args.size % 2)  # cubic vertex count
+    nb = max(2, (2 * args.size) // 3 + 1)  # bipartite |B|
+    try:
+        _check_vertex_cap(n if args.family == "cubic" else args.size + nb)
+    except BadSize as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_PARSE
     rng = SplitMix64(args.seed)
     stats = SolveStats()
     ok = 0
@@ -215,12 +224,8 @@ def _cmd_stress(args) -> int:
         lists_seed = rng.next_u64()
         try:
             if args.family == "cubic":
-                n = max(4, args.size + args.size % 2)
-                g = random_cubic(n, graph_seed)
-                sub = subdivide(g)
-                b = sub.bipartite
+                b = subdivide(random_cubic(n, graph_seed)).bipartite
             else:
-                nb = max(2, (2 * args.size) // 3 + 1)
                 b = random_23_bipartite(args.size, nb, graph_seed)
             m = b.graph.edge_count
             L = random_lists(range(m), args.k, args.palette, lists_seed)

@@ -290,7 +290,7 @@ class CycleDescriptor:
 def _cycle_through(start, nbrs, dist, parent, cap):
     """Shortest cycle through ``start`` as (length, positions), or None.
 
-    ``nbrs`` holds alive neighbour positions; ``dist`` must read -1 at
+    ``nbrs`` holds neighbour positions; ``dist`` must read -1 at
     every position on entry and does again on return.  BFS records a
     candidate only on non-tree edges pointing one level down, so
     candidates seen while popping level d close cycles of length exactly
@@ -330,12 +330,12 @@ def _cycle_through(start, nbrs, dist, parent, cap):
             dist[v] = -1
 
 
-def _residual_shortest_cycle(b: BipartiteGraph, alive, deg, vertex_order):
-    """Shortest alive cycle as (length, vertices), or None.
+def _residual_shortest_cycle(b: BipartiteGraph, vertex_order):
+    """Shortest cycle among ``vertex_order`` as (length, vertices), or None.
 
-    Starts are scanned in the given order; the first cycle achieving the
-    minimum length wins.  ``vertex_order`` must hold every vertex that an
-    alive edge joins to one of its vertices (a union of components).
+    The graph is scanned untouched, and ``vertex_order`` must be a union
+    of its components, as a sequence.  Starts are scanned in that order;
+    the first cycle achieving the minimum length wins.
 
     The result equals that of a BFS from every start (Itai & Rodeh), as
     ``_cycle_through`` runs it, but that BFS runs from one start only.
@@ -362,7 +362,7 @@ def _residual_shortest_cycle(b: BipartiteGraph, alive, deg, vertex_order):
       vertex of a girth cycle through s* comes at or after s*, so s*
       reports g, and by the second fact every earlier start reports more.
       So s* is the first start to report g.  A start with fewer than two
-      alive neighbours after it lies on no cycle of its restricted BFS, so
+      neighbours after it lies on no cycle of its restricted BFS, so
       by the second fact any report from it exceeds g; it is skipped,
       which only leaves later caps looser.  s* has two, on its girth
       cycle.
@@ -380,11 +380,10 @@ def _residual_shortest_cycle(b: BipartiteGraph, alive, deg, vertex_order):
     g, so s* still pops every level below g/2.
     """
     g = b.graph
-    order = [v for v in vertex_order if deg[v]]
-    pos = {v: i for i, v in enumerate(order)}
-    nbrs = [[pos[w] for eid, w in g.adj[v] if alive[eid]] for v in order]
-    dist = [-1] * len(order)
-    best, first = len(order) + 2, -1  # longer than any cycle
+    pos = {v: i for i, v in enumerate(vertex_order)}
+    nbrs = [[pos[w] for _, w in g.adj[v]] for v in vertex_order]
+    dist = [-1] * len(vertex_order)
+    best, first = len(vertex_order) + 2, -1  # longer than any cycle
     for s, ns in enumerate(nbrs):
         if len([w for w in ns if w > s]) < 2:
             continue
@@ -415,13 +414,13 @@ def _residual_shortest_cycle(b: BipartiteGraph, alive, deg, vertex_order):
                 break
     if first < 0:
         return None
-    hit = _cycle_through(first, nbrs, dist, [-1] * len(order), best // 2)
+    hit = _cycle_through(first, nbrs, dist, [-1] * len(vertex_order), best // 2)
     if hit is None or hit[0] != best:
         raise InternalInvariant(f"no {best}-cycle through the first start that reported one")
-    return best, tuple(order[x] for x in hit[1])
+    return best, tuple(vertex_order[x] for x in hit[1])
 
 
-def _descriptor_from_cycle(b: BipartiteGraph, cyc, alive) -> CycleDescriptor:
+def _descriptor_from_cycle(b: BipartiteGraph, cyc) -> CycleDescriptor:
     g = b.graph
     n = len(cyc)
     if n % 2 != 0:
@@ -439,8 +438,7 @@ def _descriptor_from_cycle(b: BipartiteGraph, cyc, alive) -> CycleDescriptor:
     edge_of = {}
     for v in ordered:
         for eid, w in g.adj[v]:
-            if alive[eid]:
-                edge_of[(v, w)] = eid
+            edge_of[(v, w)] = eid
     cyc_edges = []
     cyc_set = set(ordered)
     pos = {v: i for i, v in enumerate(ordered)}
@@ -455,9 +453,9 @@ def _descriptor_from_cycle(b: BipartiteGraph, cyc, alive) -> CycleDescriptor:
             continue
         i = pos[v]
         on_cycle = {cyc_edges[i], cyc_edges[i - 1]}
-        third = [(eid, w) for eid, w in g.adj[v] if alive[eid] and eid not in on_cycle]
+        third = [(eid, w) for eid, w in g.adj[v] if eid not in on_cycle]
         if len(third) > 1:
-            raise InternalInvariant(f"cycle vertex {v} has {len(third) + 2} alive edges")
+            raise InternalInvariant(f"cycle vertex {v} has {len(third) + 2} edges")
         if third:
             eid, w = third[0]
             if w in cyc_set:
@@ -481,11 +479,7 @@ def _descriptor_from_cycle(b: BipartiteGraph, cyc, alive) -> CycleDescriptor:
 def shortest_cycle(b: BipartiteGraph) -> Optional[CycleDescriptor]:
     """Shortest cycle of a validated (2,3)-bipartite graph, or None for forests."""
     b.validate_23()
-    g = b.graph
-    alive = [True] * g.edge_count
-    deg = [g.degree(v) for v in range(g.vertex_count)]
-    hit = _residual_shortest_cycle(b, alive, deg, range(g.vertex_count))
+    hit = _residual_shortest_cycle(b, range(b.graph.vertex_count))
     if hit is None:
         return None
-    _, cyc = hit
-    return _descriptor_from_cycle(b, list(cyc), alive)
+    return _descriptor_from_cycle(b, list(hit[1]))

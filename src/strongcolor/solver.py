@@ -1,9 +1,28 @@
 """Constructive strong list edge-coloring of (2,3)-bipartite graphs.
 
-The solver peels away edges at low-degree vertices, carves shortest cycles
-out of the (2,3)-biregular residue, and colors everything in reverse
-(LIFO) order: each peeled edge greedily, each carved cycle by a dedicated
-extension procedure driven by the current available lists.
+The solver peels away edges at low-degree vertices, carves one shortest
+cycle out of each (2,3)-biregular component, and colors everything in
+reverse (LIFO) order: each peeled edge greedily, each carved cycle by a
+dedicated extension procedure driven by the current available lists.
+
+A vertex qualifies for peeling when its residual degree is positive but
+below full: at most 1 for an A-vertex, at most 2 for a B-vertex.
+
+Lemma: once any edge of a connected (2,3)-bipartite component is
+removed, peeling removes every edge of that component.  Proof: let W be
+the set of vertices that keep an edge when peeling stops.  No vertex
+qualifies then, so each vertex of W keeps all of its edges, and each of
+its neighbours is in W too.  W is closed under adjacency, so it is a
+union of components.  Were the component among them, it would keep all
+of its edges, yet one was removed.  So none of its edges is left.  Two
+consequences shape ``_solve_component``:
+
+* a component with an edge and a vertex below full degree has a vertex
+  that qualifies from the start, so it peels completely and never
+  carves;
+* in a (2,3)-biregular component no vertex qualifies, so it carves
+  exactly once, its girth cycle on the untouched component, and then
+  peels completely.
 
 Extension entry sizes are guaranteed by degree counting:
 
@@ -625,21 +644,20 @@ def _solve_component(b, L, cg, comp, alive, deg, pc, stats) -> None:
     heap = [v for v in comp if _qualifies(b, deg, v)]
     heapify(heap)
     state = PeelState(alive, deg, heap, [])
-    while True:
-        while peel_step(b, state) is not None:
-            stats.peeled_edges += 1
-        found = _residual_shortest_cycle(b, alive, deg, comp)
-        if found is None:
-            if any(deg[v] for v in comp):
-                raise InternalInvariant("stable residue has edges but no cycle")
-            break
-        _, cyc = found
-        desc = _descriptor_from_cycle(b, list(cyc), alive)
+    if not heap and deg[comp[0]]:
+        # biregular, so of minimum degree 2 and with a cycle: carve the
+        # girth cycle and its pendants once (module lemma)
+        _, cyc = _residual_shortest_cycle(b, comp)
+        desc = _descriptor_from_cycle(b, list(cyc))
         for v in desc.vertices:
             for eid, _ in g.adj[v]:
                 if alive[eid]:
                     _remove_edge(b, alive, deg, heap, eid)
         state.stack.append(desc)
+    while peel_step(b, state) is not None:
+        stats.peeled_edges += 1
+    if any(deg[v] for v in comp):
+        raise InternalInvariant(f"component of vertex {comp[0]} keeps edges after peeling")
     greedy_unwind(state.stack, L, pc, cg, stats)
 
 

@@ -126,6 +126,16 @@ def odd_path_lists(rng, n: int, palette: int) -> list:
     return lists
 
 
+def disjoint_union(graphs) -> sc.BipartiteGraph:
+    """The graphs side by side, vertex ids offset in the order given."""
+    pairs, part_of = [], []
+    for b in graphs:
+        off = len(part_of)
+        pairs += [(u + off, v + off) for u, v in b.graph.edges]
+        part_of += b.part_of
+    return sc.BipartiteGraph(sc.build_multigraph(len(part_of), pairs), part_of)
+
+
 def rand_b23(na: int, nb: int, seed: int) -> sc.BipartiteGraph:
     """random_23_bipartite with nb raised to meet the stub-capacity bound."""
     return sc.random_23_bipartite(na, max(nb, (2 * na + 2) // 3), seed)

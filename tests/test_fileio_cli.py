@@ -513,6 +513,7 @@ class TestCliStress:
         (["--palette", "3"], "--k 6 is larger than --palette 3"),
         (["--size", "-5"], "--size must be at least 0, got -5"),
         (["--count", "-1"], "--count must be at least 0, got -1"),
+        (["--family", "cubic", "--size", "-5"], "--size must be at least 0, got -5"),
     ])
     def test_bad_arguments_rejected(self, capsys, argv, problem):
         # checked before the loop, so no instance is reported as failed
@@ -671,3 +672,19 @@ class TestSizeCaps:
         assert "above the cap" in capsys.readouterr().err
         with pytest.raises(_Allocated):
             cli.main(argv)
+
+    # a bipartite size s generates s + 2s // 3 + 1 vertices
+    @pytest.mark.parametrize("family, largest", [
+        ("cubic", fileio.MAX_VERTEX_COUNT),
+        ("bipartite", fileio.MAX_VERTEX_COUNT * 3 // 5 - 1),
+    ])
+    def test_stress_cap(self, monkeypatch, capsys, family, largest):
+        monkeypatch.setattr(cli, "random_cubic", _refuse)
+        monkeypatch.setattr(cli, "random_23_bipartite", _refuse)
+        argv = ["stress", "--count", "1", "--family", family, "--size"]
+        for size in (largest + 1, 10 ** 9):
+            assert cli.main(argv + [str(size)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and "above the cap" in err
+        with pytest.raises(_Allocated):
+            cli.main(argv + [str(largest)])

@@ -10,7 +10,7 @@ from strongcolor import (
 from strongcolor.generate import SplitMix64
 from strongcolor.graph import _descriptor_from_cycle, _residual_shortest_cycle
 
-from conftest import brute_girth, rand_b23
+from conftest import brute_girth, disjoint_union, rand_b23
 from test_golden import _generalized_petersen
 
 
@@ -277,21 +277,10 @@ def _relabelled(b, rng):
     return sc.BipartiteGraph(sc.build_multigraph(n, pairs), part_of)
 
 
-def _union(graphs):
-    pairs, part_of = [], []
-    for b in graphs:
-        off = len(part_of)
-        pairs += [(u + off, v + off) for u, v in b.graph.edges]
-        part_of += b.part_of
-    return sc.BipartiteGraph(sc.build_multigraph(len(part_of), pairs), part_of)
-
-
 def _random_residue(b, rng):
-    """Alive flags with about one edge in eight deleted, and the matching degrees."""
-    g = b.graph
-    alive = [rng.below(8) != 0 for _ in range(g.edge_count)]
-    deg = [sum(alive[eid] for eid, _ in g.adj[v]) for v in range(g.vertex_count)]
-    return alive, deg
+    """The same vertices with about one edge in eight deleted, as a graph of its own."""
+    pairs = [uv for uv in b.graph.edges if rng.below(8) != 0]
+    return sc.BipartiteGraph(sc.build_multigraph(len(b.part_of), pairs), b.part_of)
 
 
 def _permuted(vertices, rng):
@@ -300,13 +289,15 @@ def _permuted(vertices, rng):
     return out
 
 
-def _assert_scan_matches(b, alive, deg, order):
-    got = _residual_shortest_cycle(b, alive, deg, order)
-    want = _reference_scan(b, alive, deg, order)
+def _assert_scan_matches(b, order):
+    g = b.graph
+    full = [True] * g.edge_count
+    got = _residual_shortest_cycle(b, order)
+    want = _reference_scan(b, full, [g.degree(v) for v in range(g.vertex_count)], order)
     assert got == want
     if want is not None:
-        assert _descriptor_from_cycle(b, list(got[1]), alive) == _descriptor_from_cycle(
-            b, list(want[1]), alive
+        assert _descriptor_from_cycle(b, list(got[1])) == _descriptor_from_cycle(
+            b, list(want[1])
         )
     return want is not None
 
@@ -322,10 +313,8 @@ class TestScanEquivalence:
             if i % 2:
                 b = _relabelled(b, rng)
             order = range(b.graph.vertex_count)
-            full = [True] * b.graph.edge_count
-            _assert_scan_matches(b, full, [b.graph.degree(v) for v in order], order)
-            alive, deg = _random_residue(b, rng)
-            hits += _assert_scan_matches(b, alive, deg, order)
+            _assert_scan_matches(b, order)
+            hits += _assert_scan_matches(_random_residue(b, rng), order)
         assert hits > 200
 
     def test_shortest_cycle_on_deleted_and_random_graphs(self):
@@ -333,9 +322,7 @@ class TestScanEquivalence:
         graphs = [rand_b23(5 + rng.below(20), 4, rng.next_u64()) for _ in range(150)]
         for _ in range(150):
             b = _relabelled(sc.subdivide(_scan_corpus_graph(rng)).bipartite, rng)
-            alive, _ = _random_residue(b, rng)
-            pairs = [uv for eid, uv in enumerate(b.graph.edges) if alive[eid]]
-            graphs.append(sc.BipartiteGraph(sc.build_multigraph(len(b.part_of), pairs), b.part_of))
+            graphs.append(_random_residue(b, rng))
         for b in graphs:
             g = b.graph
             full = [True] * g.edge_count
@@ -345,7 +332,7 @@ class TestScanEquivalence:
             if want is None:
                 assert got is None
             else:
-                assert got == _descriptor_from_cycle(b, list(want[1]), full)
+                assert got == _descriptor_from_cycle(b, list(want[1]))
 
     def test_disjoint_union_per_component(self):
         rng = SplitMix64(20261020)
@@ -354,10 +341,11 @@ class TestScanEquivalence:
             for _ in range(2 + rng.below(5)):
                 b = sc.subdivide(_scan_corpus_graph(rng)).bipartite
                 parts.append(_relabelled(b, rng) if rng.below(2) else b)
-            b = _union(parts)
-            alive, deg = _random_residue(b, rng)
+            b = disjoint_union(parts)
+            residue = _random_residue(b, rng)
+            # a component of b is a union of components of the residue
             for comp in sc.components(b.graph):
-                _assert_scan_matches(b, alive, deg, comp)
+                _assert_scan_matches(residue, comp)
 
     def test_deep_girth_generalized_petersen(self):
         """Subdivided GP(n, k) with n in 20-80 have girth 8-16, so the cap
@@ -370,12 +358,11 @@ class TestScanEquivalence:
             b = sc.subdivide(_generalized_petersen(n, 1 + rng.below(n // 2 - 1))).bipartite
             g = b.graph
             ids = range(g.vertex_count)
-            full = [True] * g.edge_count
-            degrees = [g.degree(v) for v in ids]
-            whole_girths.add(_reference_scan(b, full, degrees, ids)[0])
-            for alive, deg in ((full, degrees), _random_residue(b, rng)):
-                _assert_scan_matches(b, alive, deg, ids)
-                _assert_scan_matches(b, alive, deg, _permuted(ids, rng))
+            whole_girths.add(_reference_scan(b, [True] * g.edge_count,
+                                             [g.degree(v) for v in ids], ids)[0])
+            for scanned in (b, _random_residue(b, rng)):
+                _assert_scan_matches(scanned, ids)
+                _assert_scan_matches(scanned, _permuted(ids, rng))
         assert {12, 14, 16} <= whole_girths
 
     def test_permuted_orders(self):
@@ -384,16 +371,14 @@ class TestScanEquivalence:
         hits = 0
         for _ in range(200):
             b = sc.subdivide(_scan_corpus_graph(rng)).bipartite
-            g = b.graph
-            full = [True] * g.edge_count
-            _assert_scan_matches(b, full, [g.degree(v) for v in range(g.vertex_count)],
-                                 _permuted(range(g.vertex_count), rng))
-            alive, deg = _random_residue(b, rng)
-            hits += _assert_scan_matches(b, alive, deg, _permuted(range(g.vertex_count), rng))
+            ids = range(b.graph.vertex_count)
+            _assert_scan_matches(b, _permuted(ids, rng))
+            residue = _random_residue(b, rng)
+            hits += _assert_scan_matches(residue, _permuted(ids, rng))
         assert hits > 100
         for _ in range(20):
-            b = _union([sc.subdivide(_scan_corpus_graph(rng)).bipartite
-                        for _ in range(2 + rng.below(4))])
-            alive, deg = _random_residue(b, rng)
+            b = disjoint_union([sc.subdivide(_scan_corpus_graph(rng)).bipartite
+                                for _ in range(2 + rng.below(4))])
+            residue = _random_residue(b, rng)
             for comp in sc.components(b.graph):
-                _assert_scan_matches(b, alive, deg, _permuted(comp, rng))
+                _assert_scan_matches(residue, _permuted(comp, rng))

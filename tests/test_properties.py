@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strongcolor as sc
-from strongcolor import ListAssignment, PartialColoring, SdrProblem
+from strongcolor import ListAssignment, PartialColoring, PeelState, SdrProblem, solver
 from strongcolor.generate import SplitMix64
 
 from conftest import rand_b23
+from test_golden import _generalized_petersen
 
 seeds = st.integers(min_value=0, max_value=2**63)
 
@@ -90,6 +91,48 @@ def test_solver_end_to_end(seed, na, nb):
         assert c in L[e]
     again, stats2 = sc.color_strong_23(b, L)
     assert again.assigned == pc.assigned and stats2.as_dict() == stats.as_dict()
+
+
+def _peel_to_the_end(b, state) -> None:
+    while sc.peel_step(b, state) is not None:
+        pass
+
+
+def _full_degree(b, v) -> bool:
+    return b.graph.degree(v) == (2 if b.part(v) == sc.PART_A else 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(min_value=2, max_value=15), st.booleans())
+def test_one_removed_edge_peels_its_biregular_component(seed, n, petersen):
+    # the cascade lemma of the solver's module docstring
+    rng = SplitMix64(seed)
+    if petersen:
+        g = _generalized_petersen(n + 3, 1 + rng.below((n + 3) // 2 - 1))
+    else:
+        g = sc.random_cubic(2 * n, rng.next_u64())  # may be disconnected
+    b = sc.subdivide(g).bipartite
+    state = PeelState.for_graph(b)
+    assert state.heap == []  # biregular: nothing qualifies
+    removed = rng.below(b.graph.edge_count)
+    solver._remove_edge(b, state.alive, state.deg, state.heap, removed)
+    _peel_to_the_end(b, state)
+    hit = next(set(c) for c in sc.components(b.graph) if b.graph.edges[removed][0] in c)
+    for e, (u, _) in enumerate(b.graph.edges):
+        assert state.alive[e] == (u not in hit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(min_value=1, max_value=25), st.integers(min_value=1, max_value=18))
+def test_a_component_below_full_degree_peels_without_a_removal(seed, na, nb):
+    b = rand_b23(na, nb, seed)
+    state = PeelState.for_graph(b)
+    _peel_to_the_end(b, state)
+    g = b.graph
+    for comp in sc.components(g):
+        biregular = all(_full_degree(b, v) for v in comp)
+        for v in comp:
+            assert all(state.alive[e] == biregular for e, _ in g.adj[v])
 
 
 @settings(max_examples=40, deadline=None)

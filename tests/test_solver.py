@@ -7,7 +7,15 @@ import strongcolor as sc
 from strongcolor import ListAssignment, PartialColoring, PeelState, SolveStats, oracle, solver
 from strongcolor.generate import SplitMix64
 
-from conftest import assert_valid_strong, c4_gadget, c6_gadget, cycle_gadget, rand_b23
+from conftest import (
+    assert_valid_strong,
+    c4_gadget,
+    c6_gadget,
+    cycle_gadget,
+    disjoint_union,
+    rand_b23,
+)
+from test_golden import _generalized_petersen
 
 
 class TestPeelStep:
@@ -333,6 +341,60 @@ class TestColorStrong23:
             pc, _ = sc.color_strong_23(b, L)
             for e, c in pc.assigned.items():
                 assert c in L[e]
+
+
+class TestOneCarvePerBiregularComponent:
+    @staticmethod
+    def union_draw(rng):
+        """Subdivided cubic and GP(n, k) pieces, random (2,3)-bipartite
+        pieces and isolated vertices, side by side."""
+        parts = []
+        for _ in range(1 + rng.below(6)):
+            kind = rng.below(4)
+            if kind == 0:
+                g = sc.random_cubic(4 + 2 * rng.below(8), rng.next_u64())
+                parts.append(sc.subdivide(g).bipartite)
+            elif kind == 1:
+                n = 5 + rng.below(10)
+                g = _generalized_petersen(n, 1 + rng.below(n // 2 - 1))
+                parts.append(sc.subdivide(g).bipartite)
+            elif kind == 2:
+                parts.append(rand_b23(1 + rng.below(12), 1 + rng.below(9), rng.next_u64()))
+            else:
+                k = 1 + rng.below(3)
+                parts.append(sc.BipartiteGraph(sc.build_multigraph(k, []), ["A", "B", "A"][:k]))
+        return disjoint_union(parts)
+
+    def test_one_scan_and_one_carve_each(self, monkeypatch):
+        scans = []
+        scan = solver._residual_shortest_cycle
+
+        def counted(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(solver, "_residual_shortest_cycle", counted)
+        rng = SplitMix64(20261018)
+        biregular_total = peeled_components = 0
+        for _ in range(150):
+            b = self.union_draw(rng)
+            g = b.graph
+            biregular = peeled = 0
+            for comp in sc.components(g):
+                if not g.adj[comp[0]]:
+                    continue
+                full = all(g.degree(v) == (2 if b.part(v) == "A" else 3) for v in comp)
+                biregular += full
+                peeled += not full
+            L = sc.random_lists(range(g.edge_count), 6, 8, rng.next_u64())
+            scans.clear()
+            _, stats = sc.color_strong_23(b, L)
+            carves = (stats.c4_extensions + stats.c6_extensions
+                      + stats.long_cycle_extensions + stats.k23_base_cases)
+            assert len(scans) == carves == biregular
+            biregular_total += biregular
+            peeled_components += peeled
+        assert biregular_total > 150 and peeled_components > 50
 
 
 class TestColorIncidence:
