@@ -15,6 +15,7 @@ from .conflict import (
     build_conflict_graph,
     conflict_edges,
     incidence_adjacent,
+    uniform_lists,
     verify_incidence,
     verify_strong,
 )
@@ -49,7 +50,7 @@ from .graph import (
     shortest_cycle,
     subdivide,
 )
-from .matching import SdrProblem, hall_witness, max_matching, rainbow_sdr
+from .matching import hall_witness, max_matching, rainbow_sdr
 from .oracle import (
     OracleBudget,
     backtrack_color,

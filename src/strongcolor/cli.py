@@ -23,12 +23,7 @@ import time
 from typing import Optional
 
 from . import fileio
-from .conflict import (
-    ListAssignment,
-    PartialColoring,
-    verify_incidence,
-    verify_strong,
-)
+from .conflict import PartialColoring, uniform_lists, verify_incidence, verify_strong
 from .errors import (
     BadSize,
     BudgetExceeded,
@@ -46,7 +41,7 @@ from .generate import (
 )
 from .graph import BipartiteGraph, Multigraph, infer_parts, subdivide
 from .oracle import OracleBudget, backtrack_color, incidence_chromatic_number, strong_chromatic_index
-from .solver import SolveStats, color_incidence, color_strong_23, uniform_incidence_lists
+from .solver import SolveStats, color_incidence, color_strong_23
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -99,23 +94,22 @@ def _emit(text: str, out: Optional[str]) -> None:
         fileio.write_text(out, text)
 
 
+def _lists(args, keys, incidence: bool) -> dict:
+    """The identical lists of ``--uniform K`` on ``keys``, or the ``--lists`` file."""
+    if args.uniform is not None:
+        return uniform_lists(keys, args.uniform)
+    return fileio.lists_from_text(fileio.read_text(args.lists), incidence)
+
+
 def _cmd_color(args) -> int:
     g = _load_graph(args.graph)
     if args.mode == "strong":
         b = _as_bipartite(g)
-        if args.uniform is not None:
-            L = ListAssignment.uniform(range(b.graph.edge_count), args.uniform)
-        else:
-            L = fileio.lists_from_text(fileio.read_text(args.lists))
-        pc, stats = color_strong_23(b, L)
+        pc, stats = color_strong_23(b, _lists(args, range(b.graph.edge_count), False))
         _emit(fileio.coloring_to_text(pc.assigned, "strong"), args.out)
     else:
         mg = _as_multigraph(g)
-        if args.uniform is not None:
-            L = uniform_incidence_lists(mg, args.uniform)
-        else:
-            L = fileio.lists_from_text(fileio.read_text(args.lists), incidence=True)
-        coloring, stats = color_incidence(mg, L)
+        coloring, stats = color_incidence(mg, _lists(args, mg.incidences(), True))
         _emit(fileio.coloring_to_text(coloring, "incidence"), args.out)
     if args.stats:
         # stderr, so stdout holds the coloring alone even with --out -
@@ -177,19 +171,11 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     if args.mode == "strong":
         b = _as_bipartite(g)
-        if args.uniform is not None:
-            L = ListAssignment.uniform(range(b.graph.edge_count), args.uniform)
-        else:
-            L = fileio.lists_from_text(fileio.read_text(args.lists))
-        coloring = backtrack_color(b, L, budget)
+        coloring = backtrack_color(b, _lists(args, range(b.graph.edge_count), False), budget)
     else:
         mg = _as_multigraph(g)
         sub = subdivide(mg)
-        if args.uniform is not None:
-            inc_lists = uniform_incidence_lists(mg, args.uniform)
-        else:
-            inc_lists = fileio.lists_from_text(fileio.read_text(args.lists), incidence=True)
-        L = ListAssignment(sub.edge_lists(inc_lists))
+        L = sub.edge_lists(_lists(args, mg.incidences(), True))
         coloring = backtrack_color(sub.bipartite, L, budget)
     if coloring is None:
         sys.stdout.write("infeasible\n")
@@ -208,10 +194,12 @@ def _cmd_stress(args) -> int:
         if bad:
             sys.stderr.write(f"error: {problem}\n")
             return EXIT_PARSE
-    n = max(4, args.size + args.size % 2)  # cubic vertex count
+    n = args.size  # cubic vertex count
     nb = max(2, (2 * args.size) // 3 + 1)  # bipartite |B|
     try:
         _check_vertex_cap(n if args.family == "cubic" else args.size + nb)
+        if args.family == "cubic" and (n < 4 or n % 2):
+            raise BadSize(f"cubic --size must be even and at least 4, got {n}")
     except BadSize as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

@@ -12,32 +12,21 @@ test assertions and as the CLI ``verify`` command.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional
 
 from .errors import BadEdgeId
 from .graph import BipartiteGraph, Incidence, Multigraph
 
 
-@dataclass(frozen=True)
-class ListAssignment:
-    """Per-edge color lists L(e); colors are non-negative integers."""
+# A list assignment L maps each edge id (or incidence) to its frozenset of
+# colors L(e); colors are non-negative integers.
+ListAssignment = dict
 
-    lists: Dict[int, FrozenSet[int]]
 
-    @staticmethod
-    def uniform(edge_ids: Iterable[int], k: int) -> "ListAssignment":
-        """Identical lists {1..k} on the given edges."""
-        palette = frozenset(range(1, k + 1))
-        return ListAssignment({e: palette for e in edge_ids})
-
-    def __getitem__(self, e: int) -> FrozenSet[int]:
-        return self.lists[e]
-
-    def get(self, e: int) -> FrozenSet[int]:
-        return self.lists.get(e, frozenset())
-
-    def size(self, e: int) -> int:
-        return len(self.lists.get(e, ()))
+def uniform_lists(keys: Iterable, k: int) -> ListAssignment:
+    """Identical lists {1..k} on the given edge ids or incidences."""
+    palette = frozenset(range(1, k + 1))
+    return {key: palette for key in keys}
 
 
 class PartialColoring:
@@ -48,17 +37,8 @@ class PartialColoring:
     def __init__(self, assigned: Optional[Mapping[int, int]] = None):
         self.assigned: Dict[int, int] = dict(assigned or {})
 
-    def get(self, e: int) -> Optional[int]:
-        return self.assigned.get(e)
-
     def set(self, e: int, color: int) -> None:
         self.assigned[e] = color
-
-    def __len__(self) -> int:
-        return len(self.assigned)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PartialColoring) and self.assigned == other.assigned
 
 
 @dataclass(frozen=True)
@@ -134,7 +114,7 @@ def verify_strong(
         if e < 0 or e >= b.graph.edge_count:
             out.append(Violation("list", (e,), f"unknown edge id {e}"))
             continue
-        if L is not None and c not in L.get(e):
+        if L is not None and c not in L.get(e, ()):
             out.append(Violation("list", (e,), f"color {c} not in list of edge {e}"))
         for f in cg[e]:
             if f > e and pc.assigned.get(f) == c:

@@ -17,7 +17,6 @@ import json
 import re
 from typing import Dict, Mapping, Tuple, Union
 
-from .conflict import ListAssignment
 from .errors import FormatError, InputError
 from .graph import PART_A, PART_B, BipartiteGraph, Incidence, Multigraph, build_multigraph
 
@@ -183,7 +182,7 @@ def lists_to_text(lists: Mapping, incidence: bool = False) -> str:
     return _dump({"format_version": FORMAT_VERSION, "lists": body})
 
 
-def lists_from_text(text: str, incidence: bool = False):
+def lists_from_text(text: str, incidence: bool = False) -> dict:
     doc = _load(text)
     body = doc.get("lists")
     if not isinstance(body, dict):
@@ -198,7 +197,7 @@ def lists_from_text(text: str, incidence: bool = False):
     for key, colors in keyed.items():
         if colors and min(colors) < 0:
             raise FormatError(f"list of {key} holds a negative color {min(colors)}")
-    return keyed if incidence else ListAssignment(keyed)
+    return keyed
 
 
 # -- colorings ---------------------------------------------------------------

@@ -111,9 +111,7 @@ def random_lists(edge_ids: Iterable[int], k: int, palette: int, seed: int) -> Li
     if k > palette:
         raise BadSize(f"list size {k} exceeds palette {palette}")
     rng = SplitMix64(seed)
-    return ListAssignment(
-        {e: frozenset(rng.subset(k, palette)) for e in sorted(edge_ids)}
-    )
+    return {e: frozenset(rng.subset(k, palette)) for e in sorted(edge_ids)}
 
 
 def _k23() -> BipartiteGraph:

@@ -178,16 +178,6 @@ class SubdivisionMap:
     bipartite: BipartiteGraph
     incidence_to_edge: dict
 
-    def edge_to_incidence(self, new_edge: int) -> Incidence:
-        g = self.bipartite.graph
-        u, v = g.endpoints(new_edge)
-        # midpoint ids start at the original vertex count, and each original
-        # edge gave one midpoint and two new edges
-        orig_n = g.vertex_count - g.edge_count // 2
-        orig_vertex = u if u < orig_n else v
-        mid = v if u < orig_n else u
-        return Incidence(orig_vertex, mid - orig_n)
-
     def edge_lists(self, inc_lists: Mapping) -> dict:
         """Edge id -> the color list of its incidence; a missing list is empty."""
         return {

@@ -6,33 +6,24 @@ strong-coloring extension: distinct colors cannot violate any conflict, and
 each color is drawn from the edge's current available list.
 
 Plain augmenting-path matching is enough: the instances have at most six
-items.  The interface permits swapping in a faster engine later.
+items.  An SDR problem is passed as ``(items, lists)``: the ordered,
+pairwise-distinct items (edge ids) and a mapping from each item to its
+finite color list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import TooLarge
 
 _HALL_SCAN_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class SdrProblem:
-    """Ordered items (edge ids) with finite color lists."""
-
-    items: Tuple[int, ...]
-    lists: Mapping[int, FrozenSet[int]]
-
-    def __post_init__(self):
-        if len(set(self.items)) != len(self.items):
-            raise ValueError("SDR items must be distinct")
-
-    @staticmethod
-    def of(items: Sequence[int], lists: Mapping[int, frozenset]) -> "SdrProblem":
-        return SdrProblem(tuple(items), {e: frozenset(lists[e]) for e in items})
+def _check_items(items: Sequence[int]) -> None:
+    # a repeated item would silently collapse in the returned dict
+    if len(set(items)) != len(items):
+        raise ValueError("SDR items must be distinct")
 
 
 def max_matching(left_count: int, right_count: int, adjacency: Sequence) -> Dict[int, int]:
@@ -61,35 +52,41 @@ def max_matching(left_count: int, right_count: int, adjacency: Sequence) -> Dict
     return {i: j for i, j in enumerate(match_left) if j != -1}
 
 
-def rainbow_sdr(p: SdrProblem) -> Optional[Dict[int, int]]:
+def rainbow_sdr(
+    items: Sequence[int], lists: Mapping[int, Iterable[int]]
+) -> Optional[Dict[int, int]]:
     """Pairwise-distinct colors, one from each item's list, or None.
 
     Exists iff Hall's condition holds on the family of lists; computed as a
     maximum matching between items and colors.
     """
-    colors = sorted(set().union(*(p.lists[e] for e in p.items)) if p.items else set())
+    _check_items(items)
+    colors = sorted(set().union(*(lists[e] for e in items)))
     index = {c: j for j, c in enumerate(colors)}
-    adjacency = [sorted(index[c] for c in p.lists[e]) for e in p.items]
-    matching = max_matching(len(p.items), len(colors), adjacency)
-    if len(matching) < len(p.items):
+    adjacency = [sorted(index[c] for c in lists[e]) for e in items]
+    matching = max_matching(len(items), len(colors), adjacency)
+    if len(matching) < len(items):
         return None
-    return {e: colors[matching[i]] for i, e in enumerate(p.items)}
+    return {e: colors[matching[i]] for i, e in enumerate(items)}
 
 
-def hall_witness(p: SdrProblem) -> Optional[Tuple[int, ...]]:
+def hall_witness(
+    items: Sequence[int], lists: Mapping[int, Iterable[int]]
+) -> Optional[Tuple[int, ...]]:
     """A subset S of items with |S| > |union of its lists|, or None.
 
     Exponential scan in ascending bitmask order; None iff rainbow_sdr
     succeeds.
     """
-    n = len(p.items)
+    _check_items(items)
+    n = len(items)
     if n > _HALL_SCAN_LIMIT:
         raise TooLarge(f"hall_witness limited to {_HALL_SCAN_LIMIT} items, got {n}")
     for mask in range(1, 1 << n):
-        members = [p.items[i] for i in range(n) if mask >> i & 1]
+        members = [items[i] for i in range(n) if mask >> i & 1]
         union = set()
         for e in members:
-            union |= p.lists[e]
+            union.update(lists[e])
         if len(members) > len(union):
             return tuple(members)
     return None

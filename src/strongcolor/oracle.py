@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from .conflict import ListAssignment, PartialColoring, build_conflict_graph, verify_strong
+from .conflict import (
+    ListAssignment,
+    PartialColoring,
+    build_conflict_graph,
+    uniform_lists,
+    verify_strong,
+)
 from .errors import BudgetExceeded, InternalInvariant
 from .graph import BipartiteGraph, Multigraph, subdivide
 
@@ -77,7 +83,7 @@ def backtrack_color(
     if m > budget.max_edges:
         raise BudgetExceeded(f"{m} edges exceed the oracle edge budget {budget.max_edges}")
     cg = build_conflict_graph(b)
-    avail = [sorted(L.get(e)) for e in range(m)]
+    avail = [sorted(L.get(e, ())) for e in range(m)]
     chosen = exhaustive_search(range(m), avail, cg, budget.max_nodes)
     if chosen is None:
         return None
@@ -116,7 +122,7 @@ def strong_chromatic_index(b: BipartiteGraph, budget: Optional[OracleBudget] = N
         return 0
     k = _greedy_clique_lower_bound(b)
     while True:
-        L = ListAssignment.uniform(range(m), k)
+        L = uniform_lists(range(m), k)
         if backtrack_color(b, L, budget) is not None:
             return k
         k += 1

@@ -15,7 +15,7 @@ qualifies then, so each vertex of W keeps all of its edges, and each of
 its neighbours is in W too.  W is closed under adjacency, so it is a
 union of components.  Were the component among them, it would keep all
 of its edges, yet one was removed.  So none of its edges is left.  Two
-consequences shape ``_solve_component``:
+consequences shape ``color_strong_23``:
 
 * a component with an edge and a vertex below full degree has a vertex
   that qualifies from the start, so it peels completely and never
@@ -53,6 +53,7 @@ from .conflict import (
     PartialColoring,
     available,
     build_conflict_graph,
+    uniform_lists,
     verify_strong,
 )
 from .errors import DegreeTooHigh, InternalInvariant, ListTooSmall
@@ -67,7 +68,7 @@ from .graph import (
     components,
     subdivide,
 )
-from .matching import SdrProblem, rainbow_sdr
+from .matching import rainbow_sdr
 
 
 @dataclass
@@ -435,8 +436,7 @@ class _Region:
 
     def sdr(self, edge_ids: Sequence[int], stats: SolveStats) -> None:
         stats.sdr_calls += 1
-        p = SdrProblem(tuple(edge_ids), {e: frozenset(self.avail[e]) for e in edge_ids})
-        chosen = rainbow_sdr(p)
+        chosen = rainbow_sdr(edge_ids, self.avail)
         if chosen is None:
             raise InternalInvariant(f"rainbow choice missing for edges {list(edge_ids)}")
         for e in edge_ids:
@@ -638,49 +638,42 @@ def extend_long_cycle(
 # the full solver
 
 
-def _solve_component(b, L, cg, comp, alive, deg, pc, stats) -> None:
-    g = b.graph
-    # a per-component heap: a global one would change which cycle is carved
-    heap = [v for v in comp if _qualifies(b, deg, v)]
-    heapify(heap)
-    state = PeelState(alive, deg, heap, [])
-    if not heap and deg[comp[0]]:
-        # biregular, so of minimum degree 2 and with a cycle: carve the
-        # girth cycle and its pendants once (module lemma)
-        _, cyc = _residual_shortest_cycle(b, comp)
-        desc = _descriptor_from_cycle(b, list(cyc))
-        for v in desc.vertices:
-            for eid, _ in g.adj[v]:
-                if alive[eid]:
-                    _remove_edge(b, alive, deg, heap, eid)
-        state.stack.append(desc)
-    while peel_step(b, state) is not None:
-        stats.peeled_edges += 1
-    if any(deg[v] for v in comp):
-        raise InternalInvariant(f"component of vertex {comp[0]} keeps edges after peeling")
-    greedy_unwind(state.stack, L, pc, cg, stats)
-
-
 def color_strong_23(
     b: BipartiteGraph, L: ListAssignment
 ) -> Tuple[PartialColoring, SolveStats]:
     """Strong list edge-coloring of a simple (2,3)-bipartite graph.
 
     Every list must hold at least 6 colors; the result is total, uses each
-    edge's own list, and is deterministic for fixed input.
+    edge's own list, and is deterministic for fixed input.  One peel pass
+    and one unwind serve all components: a component's pops depend only on
+    its own edges, and an edge is colored only against its own component.
     """
     b.validate_23()
     g = b.graph
     for e in range(g.edge_count):
-        if L.size(e) < 6:
-            raise ListTooSmall(f"edge {e} has a list of size {L.size(e)}, need 6")
+        size = len(L.get(e, ()))
+        if size < 6:
+            raise ListTooSmall(f"edge {e} has a list of size {size}, need 6")
     cg = build_conflict_graph(b)
-    pc = PartialColoring()
     stats = SolveStats()
-    alive = [True] * g.edge_count
-    deg = [g.degree(v) for v in range(g.vertex_count)]
+    state = PeelState.for_graph(b)
+    qualifying = set(state.heap)  # carving one component leaves the others untouched
     for comp in components(g):
-        _solve_component(b, L, cg, comp, alive, deg, pc, stats)
+        if state.deg[comp[0]] and qualifying.isdisjoint(comp):
+            # biregular, so of minimum degree 2 and with a cycle: carve the
+            # girth cycle and its pendants once (module lemma)
+            _, cyc = _residual_shortest_cycle(b, comp)
+            desc = _descriptor_from_cycle(b, list(cyc))
+            for v in desc.vertices:
+                for eid, _ in g.adj[v]:
+                    if state.alive[eid]:
+                        _remove_edge(b, state.alive, state.deg, state.heap, eid)
+            state.stack.append(desc)
+    while peel_step(b, state) is not None:
+        stats.peeled_edges += 1
+    if any(state.deg):
+        raise InternalInvariant(f"{sum(state.deg) // 2} edges are left after peeling")
+    pc = greedy_unwind(state.stack, L, PartialColoring(), cg, stats)
     bad = verify_strong(b, L, pc, require_total=True, cg=cg)
     if bad:
         raise InternalInvariant(f"solver produced an invalid coloring: {bad[:3]}")
@@ -688,8 +681,7 @@ def color_strong_23(
 
 
 def uniform_incidence_lists(g: Multigraph, k: int) -> Dict[Incidence, FrozenSet[int]]:
-    palette = frozenset(range(1, k + 1))
-    return {inc: palette for inc in g.incidences()}
+    return uniform_lists(g.incidences(), k)
 
 
 def color_incidence(
@@ -711,6 +703,6 @@ def color_incidence(
     # color_strong_23 verifies its result, and incidence adjacency is strong
     # adjacency in the subdivision, so the transported coloring needs no
     # second check
-    pc, stats = color_strong_23(sub.bipartite, ListAssignment(lists))
+    pc, stats = color_strong_23(sub.bipartite, lists)
     coloring = {inc: pc.assigned[eid] for inc, eid in sub.incidence_to_edge.items()}
     return coloring, stats

@@ -38,8 +38,8 @@ def _criterion3_instances():
 def test_criterion_1_tightness():
     started = time.perf_counter()
     k23 = sc.named("k23")
-    assert sc.backtrack_color(k23, ListAssignment.uniform(range(6), 5)) is None
-    assert sc.backtrack_color(k23, ListAssignment.uniform(range(6), 6)) is not None
+    assert sc.backtrack_color(k23, sc.uniform_lists(range(6), 5)) is None
+    assert sc.backtrack_color(k23, sc.uniform_lists(range(6), 6)) is not None
     assert sc.strong_chromatic_index(k23) == 6
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"tightness check took {elapsed:.2f}s"
@@ -132,7 +132,7 @@ def test_criterion_6_path_coverage():
     for name in battery:
         fixture = sc.named(name)
         b = fixture if isinstance(fixture, sc.BipartiteGraph) else sc.subdivide(fixture).bipartite
-        L = ListAssignment.uniform(range(b.graph.edge_count), 6)
+        L = sc.uniform_lists(range(b.graph.edge_count), 6)
         pc, stats = sc.color_strong_23(b, L)
         total.merge(stats)
     assert total.peeled_edges >= 1

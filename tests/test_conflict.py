@@ -1,7 +1,7 @@
 import pytest
 
 import strongcolor as sc
-from strongcolor import Incidence, ListAssignment, PartialColoring
+from strongcolor import Incidence, PartialColoring
 
 from conftest import brute_conflicts, rand_b23
 from test_golden import _generalized_petersen
@@ -91,19 +91,19 @@ class TestIncidenceAdjacent:
 
 class TestAvailable:
     def test_no_conflicts_assigned(self, k23):
-        L = ListAssignment.uniform(range(6), 6)
+        L = sc.uniform_lists(range(6), 6)
         cg = sc.build_conflict_graph(k23)
         assert sc.available(0, L, PartialColoring(), cg) == set(range(1, 7))
 
     def test_two_conflicting_colors_removed(self, k23):
-        L = ListAssignment.uniform(range(6), 6)
+        L = sc.uniform_lists(range(6), 6)
         cg = sc.build_conflict_graph(k23)
         pc = PartialColoring({1: 1, 2: 2})
         assert sc.available(0, L, pc, cg) == {3, 4, 5, 6}
 
     def test_shrinks_by_at_most_one_per_assignment(self):
         b = sc.subdivide(sc.named("k4")).bipartite
-        L = ListAssignment.uniform(range(b.graph.edge_count), 6)
+        L = sc.uniform_lists(range(b.graph.edge_count), 6)
         cg = sc.build_conflict_graph(b)
         pc = PartialColoring()
         pc_sizes = {e: len(sc.available(e, L, pc, cg)) for e in range(b.graph.edge_count)}
@@ -122,25 +122,25 @@ class TestAvailable:
 
 class TestVerifyStrong:
     def test_k23_six_distinct_ok(self, k23):
-        L = ListAssignment.uniform(range(6), 6)
+        L = sc.uniform_lists(range(6), 6)
         pc = PartialColoring({e: e + 1 for e in range(6)})
         assert sc.verify_strong(k23, L, pc, require_total=True) == []
 
     def test_k23_repeat_names_the_pair(self, k23):
-        L = ListAssignment.uniform(range(6), 6)
+        L = sc.uniform_lists(range(6), 6)
         pc = PartialColoring({0: 1, 3: 1})
         violations = sc.verify_strong(k23, L, pc)
         assert len(violations) == 1
         assert violations[0].kind == "conflict" and violations[0].where == (0, 3)
 
     def test_color_outside_list(self, k23):
-        L = ListAssignment.uniform(range(6), 6)
+        L = sc.uniform_lists(range(6), 6)
         pc = PartialColoring({0: 99})
         violations = sc.verify_strong(k23, L, pc)
         assert any(v.kind == "list" for v in violations)
 
     def test_totality_flag(self, k23):
-        L = ListAssignment.uniform(range(6), 6)
+        L = sc.uniform_lists(range(6), 6)
         pc = PartialColoring({0: 1})
         assert sc.verify_strong(k23, L, pc) == []
         assert any(

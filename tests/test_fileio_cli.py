@@ -93,12 +93,14 @@ class TestGraphFiles:
 
 
 class TestListsAndColoringFiles:
-    def test_lists_round_trip(self):
+    @pytest.mark.parametrize("incidence", [False, True])
+    def test_lists_round_trip(self, incidence):
         L = sc.random_lists(range(5), 6, 12, 3)
-        text = fileio.lists_to_text(L.lists)
-        back = fileio.lists_from_text(text)
-        assert back.lists == L.lists
-        assert fileio.lists_to_text(back.lists) == text
+        if incidence:
+            L = {Incidence(e % 3, e): colors for e, colors in L.items()}
+        text = fileio.lists_to_text(L, incidence)
+        assert fileio.lists_from_text(text, incidence) == L
+        assert fileio.lists_to_text(fileio.lists_from_text(text, incidence), incidence) == text
 
     @pytest.mark.parametrize("incidence", [False, True])
     def test_negative_color_rejected(self, incidence):
@@ -276,7 +278,7 @@ class TestCliColor:
     def test_lists_file_input(self, tmp_path, k23_file):
         lists_path = tmp_path / "lists.json"
         L = sc.random_lists(range(6), 6, 12, 11)
-        lists_path.write_text(fileio.lists_to_text(L.lists))
+        lists_path.write_text(fileio.lists_to_text(L))
         out = tmp_path / "out.colors"
         r = run_cli("color", k23_file, "--lists", lists_path, "--out", out)
         assert r.returncode == 0, r.stderr
@@ -514,6 +516,8 @@ class TestCliStress:
         (["--size", "-5"], "--size must be at least 0, got -5"),
         (["--count", "-1"], "--count must be at least 0, got -1"),
         (["--family", "cubic", "--size", "-5"], "--size must be at least 0, got -5"),
+        (["--family", "cubic", "--size", "1"], "cubic --size must be even and at least 4, got 1"),
+        (["--family", "cubic", "--size", "7"], "cubic --size must be even and at least 4, got 7"),
     ])
     def test_bad_arguments_rejected(self, capsys, argv, problem):
         # checked before the loop, so no instance is reported as failed
@@ -566,7 +570,7 @@ class TestCanonicalKeys:
         lists = fileio.lists_from_text(
             _lists_doc(", ".join(f'"{k}": {SIX}' for k in keys)), incidence=incidence
         )
-        got = set(lists) if incidence else set(lists.lists)
+        got = set(lists)
         want = {Incidence(*map(int, k.split(":"))) if incidence else int(k) for k in keys}
         assert got == want
 
@@ -650,8 +654,7 @@ class TestSizeCaps:
     @pytest.mark.parametrize("command", ["color", "oracle"])
     @pytest.mark.parametrize("mode", ["strong", "incidence"])
     def test_uniform_cap(self, monkeypatch, capsys, k23_file, command, mode):
-        monkeypatch.setattr(cli.ListAssignment, "uniform", _refuse)
-        monkeypatch.setattr(cli, "uniform_incidence_lists", _refuse)
+        monkeypatch.setattr(cli, "uniform_lists", _refuse)
         argv = [command, str(k23_file), "--mode", mode, "--uniform"]
         assert cli.main(argv + [str(cli.MAX_UNIFORM_COLORS + 1)]) == 2
         assert f"at most {cli.MAX_UNIFORM_COLORS}" in capsys.readouterr().err

@@ -113,7 +113,7 @@ class TestRandomLists:
         assert all(len(L[e]) == 6 and max(L[e]) < 12 for e in range(10))
 
     def test_same_seed_identical(self):
-        assert sc.random_lists(range(8), 6, 12, 9).lists == sc.random_lists(range(8), 6, 12, 9).lists
+        assert sc.random_lists(range(8), 6, 12, 9) == sc.random_lists(range(8), 6, 12, 9)
 
     def test_list_bigger_than_palette(self):
         with pytest.raises(sc.BadSize):

@@ -68,9 +68,9 @@ class TestSubdivide:
         assert len(sub.incidence_to_edge) == 2 * g.edge_count
         assert sorted(sub.incidence_to_edge.values()) == list(range(2 * g.edge_count))
         for inc, eid in sub.incidence_to_edge.items():
-            assert sub.edge_to_incidence(eid) == inc
+            # the midpoint of original edge e is vertex n + e
             u, v = sub.bipartite.graph.endpoints(eid)
-            assert inc.vertex in (u, v)
+            assert {u, v} == {inc.vertex, g.vertex_count + inc.edge}
 
     @pytest.mark.parametrize("name", ["k4", "petersen", "heawood", "domino"])
     def test_girth_doubles(self, name):

@@ -1,7 +1,6 @@
 import pytest
 
 import strongcolor as sc
-from strongcolor import SdrProblem
 from strongcolor.generate import SplitMix64
 
 
@@ -25,45 +24,47 @@ class TestMaxMatching:
 
 class TestRainbowSdr:
     def test_pair_sharing_single_color_fails(self):
-        p = SdrProblem.of([10, 11], {10: {1}, 11: {1}})
-        assert sc.rainbow_sdr(p) is None
+        assert sc.rainbow_sdr([10, 11], {10: {1}, 11: {1}}) is None
 
     def test_six_full_lists_permute(self):
         lists = {e: frozenset(range(1, 7)) for e in range(6)}
-        got = sc.rainbow_sdr(SdrProblem.of(list(range(6)), lists))
+        got = sc.rainbow_sdr(list(range(6)), lists)
         assert sorted(got.values()) == [1, 2, 3, 4, 5, 6]
 
     def test_three_two_lists(self):
-        p = SdrProblem.of([0, 1, 2], {0: {1, 2}, 1: {2, 3}, 2: {1, 3}})
-        got = sc.rainbow_sdr(p)
+        lists = {0: {1, 2}, 1: {2, 3}, 2: {1, 3}}
+        got = sc.rainbow_sdr([0, 1, 2], lists)
         assert got is not None
         assert len(set(got.values())) == 3
         for e, c in got.items():
-            assert c in p.lists[e]
+            assert c in lists[e]
 
     def test_deterministic(self):
         lists = {0: frozenset({3, 5}), 1: frozenset({3, 5, 7}), 2: frozenset({5, 7})}
-        p = SdrProblem.of([0, 1, 2], lists)
-        assert sc.rainbow_sdr(p) == sc.rainbow_sdr(p)
+        assert sc.rainbow_sdr([0, 1, 2], lists) == sc.rainbow_sdr([0, 1, 2], lists)
 
 
 class TestHallWitness:
     def test_pair_witness(self):
-        p = SdrProblem.of([4, 9], {4: {1}, 9: {1}})
-        assert sc.hall_witness(p) == (4, 9)
+        assert sc.hall_witness([4, 9], {4: {1}, 9: {1}}) == (4, 9)
 
     def test_k23_lists_hold(self):
         lists = {e: frozenset(range(1, 7)) for e in range(6)}
-        assert sc.hall_witness(SdrProblem.of(list(range(6)), lists)) is None
+        assert sc.hall_witness(list(range(6)), lists) is None
 
     def test_triple_over_two_colors(self):
-        p = SdrProblem.of([0, 1, 2], {e: {1, 2} for e in range(3)})
-        assert sc.hall_witness(p) == (0, 1, 2)
+        assert sc.hall_witness([0, 1, 2], {e: {1, 2} for e in range(3)}) == (0, 1, 2)
 
     def test_too_large(self):
-        p = SdrProblem.of(list(range(21)), {e: {e} for e in range(21)})
         with pytest.raises(sc.TooLarge):
-            sc.hall_witness(p)
+            sc.hall_witness(list(range(21)), {e: {e} for e in range(21)})
+
+
+@pytest.mark.parametrize("solve", [sc.rainbow_sdr, sc.hall_witness])
+def test_repeated_item_rejected(solve):
+    # a repeated item would collapse into one key of the returned choice
+    with pytest.raises(ValueError, match="distinct"):
+        solve([3, 3], {3: {1, 2}})
 
 
 class TestSdrHallEquivalence:
@@ -75,9 +76,8 @@ class TestSdrHallEquivalence:
             for e in range(n):
                 k = 1 + rng.below(4)
                 lists[e] = frozenset(rng.subset(k, 10))
-            p = SdrProblem.of(list(range(n)), lists)
-            sdr = sc.rainbow_sdr(p)
-            witness = sc.hall_witness(p)
+            sdr = sc.rainbow_sdr(list(range(n)), lists)
+            witness = sc.hall_witness(list(range(n)), lists)
             assert (sdr is None) == (witness is not None)
             if sdr is not None:
                 assert len(set(sdr.values())) == n
@@ -86,8 +86,7 @@ class TestSdrHallEquivalence:
 class TestSdrMergeStaysValid:
     def test_rainbow_extension_ignores_conflicts(self, k23):
         # all six K_{2,3} edges pairwise conflict, yet any SDR extends validly
-        L = sc.ListAssignment.uniform(range(6), 6)
-        p = SdrProblem.of(list(range(6)), {e: L[e] for e in range(6)})
-        got = sc.rainbow_sdr(p)
+        L = sc.uniform_lists(range(6), 6)
+        got = sc.rainbow_sdr(list(range(6)), L)
         pc = sc.PartialColoring(got)
         assert sc.verify_strong(k23, L, pc, require_total=True) == []

@@ -8,29 +8,29 @@ from conftest import assert_valid_strong, rand_b23
 
 class TestBacktrackColor:
     def test_k23_five_colors_infeasible(self, k23):
-        assert sc.backtrack_color(k23, ListAssignment.uniform(range(6), 5)) is None
+        assert sc.backtrack_color(k23, sc.uniform_lists(range(6), 5)) is None
 
     def test_k23_six_colors_feasible(self, k23):
-        got = sc.backtrack_color(k23, ListAssignment.uniform(range(6), 6))
+        got = sc.backtrack_color(k23, sc.uniform_lists(range(6), 6))
         assert got is not None
-        assert_valid_strong(k23, ListAssignment.uniform(range(6), 6), PartialColoring(got))
+        assert_valid_strong(k23, sc.uniform_lists(range(6), 6), PartialColoring(got))
 
     def test_p4_three_vs_two(self):
         b = sc.infer_parts(sc.named("p4"))
-        assert sc.backtrack_color(b, ListAssignment.uniform(range(3), 3)) is not None
-        assert sc.backtrack_color(b, ListAssignment.uniform(range(3), 2)) is None
+        assert sc.backtrack_color(b, sc.uniform_lists(range(3), 3)) is not None
+        assert sc.backtrack_color(b, sc.uniform_lists(range(3), 2)) is None
 
     def test_edge_budget_gate(self, k23):
         with pytest.raises(sc.BudgetExceeded):
             sc.backtrack_color(
-                k23, ListAssignment.uniform(range(6), 6), OracleBudget(max_edges=3)
+                k23, sc.uniform_lists(range(6), 6), OracleBudget(max_edges=3)
             )
 
     def test_node_budget_distinct_from_infeasible(self, k23):
         # tiny node budget: must raise, never claim "no coloring"
         with pytest.raises(sc.BudgetExceeded):
             sc.backtrack_color(
-                k23, ListAssignment.uniform(range(6), 6), OracleBudget(max_nodes=2)
+                k23, sc.uniform_lists(range(6), 6), OracleBudget(max_nodes=2)
             )
 
     def test_respects_lists(self):
@@ -42,8 +42,8 @@ class TestBacktrackColor:
     def test_monotone_in_lists(self):
         b = sc.infer_parts(sc.named("c8"))
         for k in range(3, 7):
-            small = sc.backtrack_color(b, ListAssignment.uniform(range(8), k))
-            big = sc.backtrack_color(b, ListAssignment.uniform(range(8), k + 1))
+            small = sc.backtrack_color(b, sc.uniform_lists(range(8), k))
+            big = sc.backtrack_color(b, sc.uniform_lists(range(8), k + 1))
             if small is not None:
                 assert big is not None
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strongcolor as sc
-from strongcolor import ListAssignment, PartialColoring, PeelState, SdrProblem, solver
+from strongcolor import ListAssignment, PartialColoring, PeelState, solver
 from strongcolor.generate import SplitMix64
 
 from conftest import rand_b23
@@ -68,10 +68,7 @@ def test_rainbow_merge_is_always_valid(seed, na):
         if avail:
             pc.set(e, min(avail))
     rest = [e for e in range(m) if e not in pc.assigned]
-    problem = SdrProblem.of(
-        rest, {e: frozenset(sc.available(e, L, pc, cg)) for e in rest}
-    )
-    chosen = sc.rainbow_sdr(problem)
+    chosen = sc.rainbow_sdr(rest, {e: sc.available(e, L, pc, cg) for e in rest})
     if chosen is None:
         return
     for e, c in chosen.items():

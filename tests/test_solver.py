@@ -44,7 +44,7 @@ class TestPeelStep:
 class TestGreedyUnwind:
     def test_path_smallest_colors(self):
         b = sc.infer_parts(sc.named("p5"))
-        L = ListAssignment.uniform(range(4), 6)
+        L = sc.uniform_lists(range(4), 6)
         state = PeelState.for_graph(b)
         while sc.peel_step(b, state) is not None:
             pass
@@ -55,7 +55,7 @@ class TestGreedyUnwind:
 
     def test_subdivided_star(self):
         b = sc.subdivide(sc.named("star")).bipartite
-        L = ListAssignment.uniform(range(b.graph.edge_count), 6)
+        L = sc.uniform_lists(range(b.graph.edge_count), 6)
         state = PeelState.for_graph(b)
         while sc.peel_step(b, state) is not None:
             pass
@@ -72,7 +72,7 @@ class TestGreedyUnwind:
             m = b.graph.edge_count
             if m == 0:
                 continue
-            L = ListAssignment.uniform(range(m), 6)
+            L = sc.uniform_lists(range(m), 6)
             state = PeelState.for_graph(b)
             rules = {}
             while True:
@@ -133,7 +133,7 @@ class TestExtendC4:
         lists = {e: {1, 2, 3, 4, 5} for e in self.cyc}
         lists.update({e: {1, 2, 3} for e in self.pend})
         pc, stats = self.run(ListAssignment(lists))
-        assert pc.get(self.pend[0]) == pc.get(self.pend[1])
+        assert pc.assigned.get(self.pend[0]) == pc.assigned.get(self.pend[1])
         assert stats.c4_extensions == 1
 
     def test_disjoint_pendants_rainbow(self):
@@ -156,7 +156,7 @@ class TestExtendC4:
 class TestExtendC4Coincident:
     def test_k23_component_rainbow(self, k23):
         cycle = sc.shortest_cycle(k23)
-        L = ListAssignment.uniform(range(6), 6)
+        L = sc.uniform_lists(range(6), 6)
         pc = PartialColoring()
         stats = SolveStats()
         sc.extend_c4(L, pc, cycle, sc.build_conflict_graph(k23), stats)
@@ -224,8 +224,8 @@ class TestExtendC6:
         for role in ("wx", "xy", "yz")[3 - left :]:
             by_role[role] = by_role[role] - {4, 5, 6} | {7, 8, 9}
         pc, stats = self.run(by_role)
-        assert [pc.get(e) for e in (6, 7, 8)] == [1, 2, 3]
-        shared = [pc.get(i) == pc.get(i + 3) for i in range(3)]
+        assert [pc.assigned.get(e) for e in (6, 7, 8)] == [1, 2, 3]
+        shared = [pc.assigned.get(i) == pc.assigned.get(i + 3) for i in range(3)]
         assert shared == [True] * (3 - left) + [False] * left
         assert stats.sdr_calls == (1 if left else 0)
 
@@ -275,7 +275,7 @@ class TestExtendLongCycle:
     def test_rejects_short_cycle(self):
         b = c6_gadget()
         cycle = sc.shortest_cycle(b)
-        L = ListAssignment.uniform(range(9), 6)
+        L = sc.uniform_lists(range(9), 6)
         with pytest.raises(sc.InternalInvariant):
             sc.extend_long_cycle(
                 L, PartialColoring(), cycle, sc.build_conflict_graph(b), SolveStats()
@@ -284,7 +284,7 @@ class TestExtendLongCycle:
 
 class TestColorStrong23:
     def test_k23_uses_six_distinct(self, k23):
-        L = ListAssignment.uniform(range(6), 6)
+        L = sc.uniform_lists(range(6), 6)
         pc, stats = sc.color_strong_23(k23, L)
         assert_valid_strong(k23, L, pc, total=True)
         assert sorted(pc.assigned.values()) == [1, 2, 3, 4, 5, 6]
@@ -306,13 +306,13 @@ class TestColorStrong23:
 
     def test_list_too_small(self, k23):
         with pytest.raises(sc.ListTooSmall):
-            sc.color_strong_23(k23, ListAssignment.uniform(range(6), 5))
+            sc.color_strong_23(k23, sc.uniform_lists(range(6), 5))
 
     def test_not_two_three(self):
         star = sc.build_multigraph(4, [(0, 1), (0, 2), (0, 3)])
         b = sc.BipartiteGraph(star, ["A", "B", "B", "B"])
         with pytest.raises(sc.NotTwoThree):
-            sc.color_strong_23(b, ListAssignment.uniform(range(3), 6))
+            sc.color_strong_23(b, sc.uniform_lists(range(3), 6))
 
     def test_multiple_components(self):
         # two disjoint copies of K_{2,3}
@@ -320,7 +320,7 @@ class TestColorStrong23:
         shifted = [(u + 5, v + 5) for u, v in pairs]
         g = sc.build_multigraph(10, pairs + shifted)
         b = sc.BipartiteGraph(g, ["A"] * 3 + ["B"] * 2 + ["A"] * 3 + ["B"] * 2)
-        L = ListAssignment.uniform(range(12), 6)
+        L = sc.uniform_lists(range(12), 6)
         pc, stats = sc.color_strong_23(b, L)
         assert_valid_strong(b, L, pc, total=True)
         assert stats.k23_base_cases == 2
@@ -445,7 +445,7 @@ class TestPathCoverage:
                 b = fixture
             else:
                 b = sc.subdivide(fixture).bipartite
-            L = ListAssignment.uniform(range(b.graph.edge_count), 6)
+            L = sc.uniform_lists(range(b.graph.edge_count), 6)
             _, stats = sc.color_strong_23(b, L)
             total.merge(stats)
         assert total.peeled_edges >= 1
