@@ -95,10 +95,18 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _lists(args, keys, incidence: bool) -> dict:
-    """The identical lists of ``--uniform K`` on ``keys``, or the ``--lists`` file."""
-    if args.uniform is not None:
+    """The ``--lists`` file, whose keys must all be among ``keys``, or else
+    the identical lists of ``--uniform K`` on ``keys``."""
+    if args.lists is None:
         return uniform_lists(keys, args.uniform)
-    return fileio.lists_from_text(fileio.read_text(args.lists), incidence)
+    lists = fileio.lists_from_text(fileio.read_text(args.lists), incidence)
+    known = set(keys)
+    for key in lists:
+        if key not in known:
+            name = f"{key.vertex}:{key.edge}" if incidence else str(key)
+            kind = "an incidence" if incidence else "an edge id"
+            raise FormatError(f"lists key {name!r} is not {kind} of the graph")
+    return lists
 
 
 def _cmd_color(args) -> int:
@@ -122,15 +130,11 @@ def _cmd_verify(args) -> int:
     mode, colors = fileio.coloring_from_text(fileio.read_text(args.coloring))
     if mode == "strong":
         b = _as_bipartite(g)
-        L = fileio.lists_from_text(fileio.read_text(args.lists)) if args.lists else None
+        L = _lists(args, range(b.graph.edge_count), False) if args.lists else None
         violations = verify_strong(b, L, PartialColoring(colors), require_total=True)
     else:
         mg = _as_multigraph(g)
-        L = (
-            fileio.lists_from_text(fileio.read_text(args.lists), incidence=True)
-            if args.lists
-            else None
-        )
+        L = _lists(args, mg.incidences(), True) if args.lists else None
         violations = verify_incidence(mg, colors, L, require_total=True)
     for v in violations:
         sys.stdout.write(f"{v}\n")

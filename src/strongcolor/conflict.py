@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional
 
-from .errors import BadEdgeId
 from .graph import BipartiteGraph, Incidence, Multigraph
 
 
@@ -54,23 +53,28 @@ class ConflictGraph:
         return len(self.conflicts)
 
 
+def conflict_walk(b: BipartiteGraph, e: int) -> list:
+    """The edges that conflict with e, some of them more than once.
+
+    The walk takes every edge f at the far end w of an edge g != e at an
+    endpoint of e.  Such an f conflicts with e, as g meets both, and is
+    not e, as a simple graph has no second edge joining the endpoints of
+    e.  Each f that conflicts with e is taken: through g = f when f shares
+    an endpoint with e, and otherwise through the edge g meeting both.
+    """
+    adj = b.graph.adj
+    u, v = b.graph.endpoints(e)  # raises BadEdgeId
+    return [f for g, w in adj[u] + adj[v] if g != e for f, _ in adj[w]]
+
+
 def conflict_edges(b: BipartiteGraph, e: int) -> set:
     """All edges f != e sharing an endpoint with e or joined to e by a third edge.
 
-    The walk collects every edge at the far end w of an edge g at an
-    endpoint of e, so f is found exactly when some edge g (possibly e or f
-    itself) meets both e and f.  That condition is symmetric in e and f,
-    so the relation needs no symmetry check.
+    Equivalently, some edge g (possibly e or f itself) meets both e and f.
+    That condition is symmetric in e and f, so the relation needs no
+    symmetry check.
     """
-    adj = b.graph.adj
-    out = {
-        fid
-        for endpoint in b.graph.endpoints(e)  # raises BadEdgeId
-        for _, w in adj[endpoint]
-        for fid, _ in adj[w]
-    }
-    out.discard(e)
-    return out
+    return set(conflict_walk(b, e))
 
 
 def build_conflict_graph(b: BipartiteGraph) -> ConflictGraph:
@@ -79,12 +83,10 @@ def build_conflict_graph(b: BipartiteGraph) -> ConflictGraph:
     )
 
 
-def available(
-    e: int, L: ListAssignment, pc: PartialColoring, cg: ConflictGraph
-) -> set:
-    """L(e) minus the colors of assigned conflicting edges."""
-    used = {pc.assigned[f] for f in cg[e] if f in pc.assigned}
-    return set(L[e]) - used
+def available(e: int, L: ListAssignment, pc: PartialColoring, b: BipartiteGraph) -> set:
+    """L(e) minus the colors of assigned conflicting edges (``conflict_walk``)."""
+    # an uncolored edge reads as None, which no list holds
+    return set(L[e]) - set(map(pc.assigned.get, conflict_walk(b, e)))
 
 
 @dataclass(frozen=True)
@@ -104,26 +106,58 @@ def verify_strong(
     L: Optional[ListAssignment],
     pc: PartialColoring,
     require_total: bool = False,
-    cg: Optional[ConflictGraph] = None,
 ) -> list:
-    """Empty list iff pc is a valid (and, if required, total) strong list coloring."""
-    if cg is None:  # an empty ConflictGraph is falsy, so test for None
-        cg = build_conflict_graph(b)
+    """Empty list iff pc is a valid (and, if required, total) strong list coloring.
+
+    One pass over the edges decides whether any two conflicting edges share
+    a color, by this fact: edges e and f conflict exactly when both lie in
+    one clique K(g) = {edges at u} | {edges at v}, where g = uv is an edge.
+
+    *Inside a clique every pair conflicts.*  Two edges at u share u, and so
+    do two edges at v.  An edge at u and an edge at v are both met by g.
+
+    *Every conflicting pair lies in a clique.*  By ``conflict_edges``, e
+    and f conflict when some edge g (possibly e or f itself) meets both;
+    g = uv meets e when e is at u or at v, that is, when e is in K(g).
+
+    So the pass reads the colors at every vertex once, an uncolored edge f
+    reading as ~f, which no other edge holds, and checks for each edge
+    g = uv that the colors at u and v repeat only g's own value: the graph
+    is simple, so g is the one edge at both.  A color that happens to
+    equal some ~f can only fail a clique, never pass one.  The report is
+    built only when it could hold something: a failed clique, a key that
+    is not an edge id, or a color outside its list.  It walks the keys in
+    sorted order: a list violation comes before that edge's conflicts,
+    whose partners ascend, as ``conflict_edges`` finds them.
+    """
+    g = b.graph
+    m = g.edge_count
+    assigned = pc.assigned
+    get = assigned.get
+    at = [[get(f, ~f) for f, _ in a] for a in g.adj]  # the colors at each vertex
+    clash = any(len({*at[u], *at[v]}) < len(at[u]) + len(at[v]) - 1 for u, v in g.edges)
+    colored = len(assigned.keys() & range(m))  # keys that are edge ids
     out = []
-    for e, c in sorted(pc.assigned.items()):
-        if e < 0 or e >= b.graph.edge_count:
-            out.append(Violation("list", (e,), f"unknown edge id {e}"))
-            continue
-        if L is not None and c not in L.get(e, ()):
-            out.append(Violation("list", (e,), f"color {c} not in list of edge {e}"))
-        for f in cg[e]:
-            if f > e and pc.assigned.get(f) == c:
-                out.append(
-                    Violation("conflict", (e, f), f"edges {e} and {f} share color {c}")
-                )
-    if require_total:
-        for e in range(b.graph.edge_count):
-            if e not in pc.assigned:
+    if (
+        clash
+        or colored < len(assigned)
+        or (L is not None and any(c not in L.get(e, ()) for e, c in assigned.items()))
+    ):
+        for e, c in sorted(assigned.items()):
+            if e < 0 or e >= m:
+                out.append(Violation("list", (e,), f"unknown edge id {e}"))
+                continue
+            if L is not None and c not in L.get(e, ()):
+                out.append(Violation("list", (e,), f"color {c} not in list of edge {e}"))
+            if clash:
+                for f in sorted(conflict_edges(b, e)):
+                    if f > e and get(f) == c:
+                        out.append(
+                            Violation("conflict", (e, f), f"edges {e} and {f} share color {c}")
+                        )
+    if require_total and colored < m:
+        for e in range(m):
+            if e not in assigned:
                 out.append(Violation("uncolored", (e,), f"edge {e} has no color"))
     return out
 

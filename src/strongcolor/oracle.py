@@ -87,7 +87,7 @@ def backtrack_color(
     chosen = exhaustive_search(range(m), avail, cg, budget.max_nodes)
     if chosen is None:
         return None
-    bad = verify_strong(b, L, PartialColoring(chosen), require_total=True, cg=cg)
+    bad = verify_strong(b, L, PartialColoring(chosen), require_total=True)
     if bad:
         raise InternalInvariant(f"oracle produced an invalid coloring: {bad[:3]}")
     return chosen

@@ -48,11 +48,10 @@ from heapq import heapify, heappop, heappush
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .conflict import (
-    ConflictGraph,
     ListAssignment,
     PartialColoring,
     available,
-    build_conflict_graph,
+    conflict_walk,
     uniform_lists,
     verify_strong,
 )
@@ -150,7 +149,7 @@ def greedy_unwind(
     stack: list,
     L: ListAssignment,
     pc: PartialColoring,
-    cg: ConflictGraph,
+    b: BipartiteGraph,
     stats: SolveStats,
 ) -> PartialColoring:
     """Pop the peel stack LIFO and color each entry.
@@ -164,9 +163,9 @@ def greedy_unwind(
         item = stack.pop()
         if isinstance(item, CycleDescriptor):
             extend = {4: extend_c4, 6: extend_c6}.get(len(item), extend_long_cycle)
-            extend(L, pc, item, cg, stats)
+            extend(L, pc, item, b, stats)
             continue
-        avail = available(item, L, pc, cg)
+        avail = available(item, L, pc, b)
         if not avail:
             raise InternalInvariant(f"peeled edge {item} has no available color at unwind")
         pc.set(item, min(avail))
@@ -230,11 +229,11 @@ def precolor_five_path(
     L: ListAssignment,
     pc: PartialColoring,
     cfg: FivePathConfig,
-    cg: ConflictGraph,
+    b: BipartiteGraph,
     stats: SolveStats,
 ) -> PartialColoring:
     """Color uv, vz, xy, xt so the middle edges keep |L(vw)| >= 3, |L(wx)| >= 2."""
-    region = _path_region(L, pc, cg, cfg.edges, _FIVE_SIZES)
+    region = _path_region(L, pc, b, cfg.edges, _FIVE_SIZES)
     uv, vw, wx, xy, vz, xt = cfg.edges
     avail = region.avail
 
@@ -377,13 +376,13 @@ def color_odd_path(
     L: ListAssignment,
     pc: PartialColoring,
     cfg: OddPathConfig,
-    cg: ConflictGraph,
+    b: BipartiteGraph,
     stats: SolveStats,
 ) -> PartialColoring:
     """Totally color the configuration."""
     path_sizes, pendant_sizes = _odd_sizes(len(cfg.path_vertices))
     region = _path_region(
-        L, pc, cg, cfg.path_edges + cfg.pendant_edges, path_sizes + pendant_sizes
+        L, pc, b, cfg.path_edges + cfg.pendant_edges, path_sizes + pendant_sizes
     )
     i = 0
     while len(cfg.path_edges) - i > 4:
@@ -401,14 +400,15 @@ class _Region:
     """Available lists for the edges one extension or path procedure colors.
 
     Assignments are validated against and propagated through the real
-    conflict graph, so a mismatch between a configuration and the actual
-    graph surfaces immediately instead of corrupting the coloring.
+    graph, by ``conflict_walk``, so a mismatch between a configuration and
+    the actual graph surfaces immediately instead of corrupting the
+    coloring.
     """
 
-    def __init__(self, L, pc, cg, edge_ids):
+    def __init__(self, L, pc, b, edge_ids):
         self.pc = pc
-        self.cg = cg
-        self.avail = {e: available(e, L, pc, cg) for e in edge_ids}
+        self.b = b
+        self.avail = {e: available(e, L, pc, b) for e in edge_ids}
 
     def truncate(self, e: int, k: int) -> None:
         cur = self.avail[e]
@@ -421,7 +421,7 @@ class _Region:
             raise InternalInvariant(f"color {color} unavailable for edge {e}")
         del self.avail[e]
         self.pc.set(e, color)
-        for f in self.cg[e]:
+        for f in conflict_walk(self.b, e):
             if f in self.avail:
                 self.avail[f].discard(color)
 
@@ -443,9 +443,9 @@ class _Region:
             self.assign(e, chosen[e])
 
 
-def _path_region(L, pc, cg, edges: Sequence[int], sizes: Sequence[int]) -> _Region:
+def _path_region(L, pc, b, edges: Sequence[int], sizes: Sequence[int]) -> _Region:
     """Region over a path configuration's edges, truncated to their entry sizes."""
-    region = _Region(L, pc, cg, edges)
+    region = _Region(L, pc, b, edges)
     for e, k in zip(edges, sizes):
         if len(region.avail[e]) < k:
             raise ListTooSmall(f"edge {e} needs {k} colors, got {len(region.avail[e])}")
@@ -461,7 +461,7 @@ def extend_c4(
     L: ListAssignment,
     pc: PartialColoring,
     cycle: CycleDescriptor,
-    cg: ConflictGraph,
+    b: BipartiteGraph,
     stats: SolveStats,
 ) -> PartialColoring:
     """Color the six uncolored edges around a shortest 4-cycle u-v-w-x.
@@ -487,7 +487,7 @@ def extend_c4(
     vp, e_vp = cycle.pendant[v]
     xp, e_xp = cycle.pendant[x]
     edge_ids = [e_uv, e_vw, e_wx, e_xu, e_vp, e_xp]
-    region = _Region(L, pc, cg, edge_ids)
+    region = _Region(L, pc, b, edge_ids)
 
     if vp == xp:
         stats.k23_base_cases += 1
@@ -522,7 +522,7 @@ def extend_c6(
     L: ListAssignment,
     pc: PartialColoring,
     cycle: CycleDescriptor,
-    cg: ConflictGraph,
+    b: BipartiteGraph,
     stats: SolveStats,
 ) -> PartialColoring:
     """Color the nine uncolored edges around a shortest 6-cycle.
@@ -559,7 +559,7 @@ def extend_c6(
     if any(d[i] not in cycle.pendant for i in (1, 3, 5)):
         raise InternalInvariant("6-cycle extension needs pendants at all three B-vertices")
     pendants = [cycle.pendant[d[i]][1] for i in (1, 3, 5)]
-    region = _Region(L, pc, cg, list(ce) + pendants)
+    region = _Region(L, pc, b, list(ce) + pendants)
     stats.c6_extensions += 1
     for e in pendants:
         region.truncate(e, 3)
@@ -587,7 +587,7 @@ def extend_long_cycle(
     L: ListAssignment,
     pc: PartialColoring,
     cycle: CycleDescriptor,
-    cg: ConflictGraph,
+    b: BipartiteGraph,
     stats: SolveStats,
 ) -> PartialColoring:
     """Color the 3n/2 uncolored edges around a shortest cycle of length >= 8.
@@ -606,7 +606,7 @@ def extend_long_cycle(
             raise InternalInvariant(f"cycle vertex {v} lacks a pendant")
     # the pendants at v2, v4, ..., vn (= d[1], d[3], ..., d[n-1])
     pend_vertex, pend_edge = zip(*(cycle.pendant[v] for v in d[1::2]))
-    region = _Region(L, pc, cg, ce + pend_edge)
+    region = _Region(L, pc, b, ce + pend_edge)
     stats.long_cycle_extensions += 1
     for e in ce:
         region.truncate(e, 5)
@@ -615,15 +615,15 @@ def extend_long_cycle(
 
     # step 1: seed on v1..v5 (= d[0..4]) with pendants at v2 and v4
     cfg1 = FivePathConfig(d[:5] + pend_vertex[:2], ce[:4] + pend_edge[:2])
-    precolor_five_path(L, pc, cfg1, cg, stats)
+    precolor_five_path(L, pc, cfg1, b, stats)
 
     # step 2: odd path v5, v6, ..., vn, v1 with pendants at v6, v8, ..., vn
     cfg2 = OddPathConfig(d[4:] + d[:1], pend_vertex[2:], ce[4:], pend_edge[2:])
-    color_odd_path(L, pc, cfg2, cg, stats)
+    color_odd_path(L, pc, cfg2, b, stats)
 
     # step 3: the two remaining middle edges of the seed, narrowed by steps 1-2
     for e in (ce[1], ce[2]):
-        region.avail[e] &= available(e, L, pc, cg)
+        region.avail[e] &= available(e, L, pc, b)
     if len(region.avail[ce[1]]) < 2 or len(region.avail[ce[2]]) < 1:
         raise InternalInvariant(
             f"middle edges have {len(region.avail[ce[1]])} and "
@@ -654,7 +654,6 @@ def color_strong_23(
         size = len(L.get(e, ()))
         if size < 6:
             raise ListTooSmall(f"edge {e} has a list of size {size}, need 6")
-    cg = build_conflict_graph(b)
     stats = SolveStats()
     state = PeelState.for_graph(b)
     qualifying = set(state.heap)  # carving one component leaves the others untouched
@@ -673,8 +672,8 @@ def color_strong_23(
         stats.peeled_edges += 1
     if any(state.deg):
         raise InternalInvariant(f"{sum(state.deg) // 2} edges are left after peeling")
-    pc = greedy_unwind(state.stack, L, PartialColoring(), cg, stats)
-    bad = verify_strong(b, L, pc, require_total=True, cg=cg)
+    pc = greedy_unwind(state.stack, L, PartialColoring(), b, stats)
+    bad = verify_strong(b, L, pc, require_total=True)
     if bad:
         raise InternalInvariant(f"solver produced an invalid coloring: {bad[:3]}")
     return pc, stats

@@ -5,8 +5,6 @@ The brute oracles deliberately re-derive everything from definitions
 internals they check.
 """
 
-from itertools import combinations
-
 import pytest
 
 import strongcolor as sc

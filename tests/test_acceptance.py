@@ -6,14 +6,12 @@ report.  Tolerances and instance counts are pinned here and nowhere else.
 
 import time
 
-import pytest
-
 import strongcolor as sc
 from strongcolor import ListAssignment, SolveStats, fileio
 from strongcolor.generate import SplitMix64
 from strongcolor.solver import _FIVE_SIZES
 
-from conftest import five_path_graph, odd_path_graph, odd_path_lists, assert_valid_strong
+from conftest import five_path_graph, odd_path_graph, odd_path_lists
 
 
 def _report(n, text):
@@ -99,30 +97,28 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_path_procedure_suites():
     rng = SplitMix64(160914)
     b5 = five_path_graph()
-    cg5 = sc.build_conflict_graph(b5)
     for _ in range(10_000):
         palette = 6 + rng.below(7)
         cfg = sc.FivePathConfig.standalone()
         L = ListAssignment(
             {e: frozenset(rng.subset(k, palette)) for e, k in zip(cfg.edges, _FIVE_SIZES)}
         )
-        pc = sc.precolor_five_path(L, sc.PartialColoring(), cfg, cg5, sc.SolveStats())
-        assert sc.verify_strong(b5, L, pc, cg=cg5) == []
-        assert len(sc.available(cfg.edges[1], L, pc, cg5)) >= 3  # vw
-        assert len(sc.available(cfg.edges[2], L, pc, cg5)) >= 2  # wx
+        pc = sc.precolor_five_path(L, sc.PartialColoring(), cfg, b5, sc.SolveStats())
+        assert sc.verify_strong(b5, L, pc) == []
+        assert len(sc.available(cfg.edges[1], L, pc, b5)) >= 3  # vw
+        assert len(sc.available(cfg.edges[2], L, pc, b5)) >= 2  # wx
     _report(5, "five-path precoloring: 10000/10000 draws meet the 3/2 residual bound")
 
     for n in (5, 7, 9, 11):
         bn = odd_path_graph(n)
-        cgn = sc.build_conflict_graph(bn)
         for _ in range(10_000):
             palette = 6 + rng.below(7)
             lists = odd_path_lists(rng, n, palette)
             cfg = sc.OddPathConfig.standalone(n)
             L = ListAssignment(dict(zip(cfg.path_edges + cfg.pendant_edges, lists)))
-            pc = sc.color_odd_path(L, sc.PartialColoring(), cfg, cgn, sc.SolveStats())
+            pc = sc.color_odd_path(L, sc.PartialColoring(), cfg, bn, sc.SolveStats())
             assert len(pc.assigned) == len(lists)
-            assert sc.verify_strong(bn, L, pc, require_total=True, cg=cgn) == []
+            assert sc.verify_strong(bn, L, pc, require_total=True) == []
         _report(5, f"odd-path coloring n={n}: 10000/10000 draws valid")
 
 

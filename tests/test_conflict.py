@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import strongcolor as sc
@@ -92,30 +94,32 @@ class TestIncidenceAdjacent:
 class TestAvailable:
     def test_no_conflicts_assigned(self, k23):
         L = sc.uniform_lists(range(6), 6)
-        cg = sc.build_conflict_graph(k23)
-        assert sc.available(0, L, PartialColoring(), cg) == set(range(1, 7))
+        assert sc.available(0, L, PartialColoring(), k23) == set(range(1, 7))
 
     def test_two_conflicting_colors_removed(self, k23):
         L = sc.uniform_lists(range(6), 6)
-        cg = sc.build_conflict_graph(k23)
         pc = PartialColoring({1: 1, 2: 2})
-        assert sc.available(0, L, pc, cg) == {3, 4, 5, 6}
+        assert sc.available(0, L, pc, k23) == {3, 4, 5, 6}
+
+    def test_own_color_of_an_assigned_edge_is_not_used(self, k23):
+        L = sc.uniform_lists(range(6), 6)
+        pc = PartialColoring({0: 1, 1: 2})
+        assert sc.available(0, L, pc, k23) == {1, 3, 4, 5, 6}
 
     def test_shrinks_by_at_most_one_per_assignment(self):
         b = sc.subdivide(sc.named("k4")).bipartite
         L = sc.uniform_lists(range(b.graph.edge_count), 6)
-        cg = sc.build_conflict_graph(b)
         pc = PartialColoring()
-        pc_sizes = {e: len(sc.available(e, L, pc, cg)) for e in range(b.graph.edge_count)}
+        pc_sizes = {e: len(sc.available(e, L, pc, b)) for e in range(b.graph.edge_count)}
         for step, e in enumerate(range(b.graph.edge_count)):
-            avail = sc.available(e, L, pc, cg)
+            avail = sc.available(e, L, pc, b)
             if not avail:
                 break
             pc.set(e, min(avail))
             for f in range(b.graph.edge_count):
                 if f in pc.assigned:
                     continue
-                new_size = len(sc.available(f, L, pc, cg))
+                new_size = len(sc.available(f, L, pc, b))
                 assert new_size >= pc_sizes[f] - 1
                 pc_sizes[f] = new_size
 
@@ -147,25 +151,116 @@ class TestVerifyStrong:
             v.kind == "uncolored" for v in sc.verify_strong(k23, L, pc, require_total=True)
         )
 
-
-    def test_given_conflict_graph_is_used_even_when_empty(self, monkeypatch):
-        from strongcolor import conflict
-
+    def test_solve_and_verify_build_no_conflict_graph(self, monkeypatch):
         calls = []
-        build = conflict.build_conflict_graph
+        build = sc.build_conflict_graph
 
         def counting(b):
             calls.append(b)
             return build(b)
 
-        monkeypatch.setattr(conflict, "build_conflict_graph", counting)
-        edgeless = sc.BipartiteGraph(sc.build_multigraph(2, []), ["A", "B"])
-        cg = build(edgeless)
-        assert len(cg) == 0
-        assert sc.verify_strong(edgeless, None, PartialColoring(), True, cg) == []
+        # rebind every alias, as a module may have imported the name
+        for name, module in list(sys.modules.items()):
+            if name == "strongcolor" or name.startswith("strongcolor."):
+                for attr, value in list(vars(module).items()):
+                    if value is build:
+                        monkeypatch.setattr(module, attr, counting)
+        b = sc.subdivide(_generalized_petersen(7, 2)).bipartite
+        L = sc.uniform_lists(range(b.graph.edge_count), 6)
+        pc, _ = sc.color_strong_23(b, L)
+        assert sc.verify_strong(b, L, pc, require_total=True) == []
+        bad = PartialColoring({**pc.assigned, 1: pc.assigned[0]})
+        assert sc.verify_strong(b, L, bad) != []
+        g = sc.random_cubic(10, 3)
+        sc.color_incidence(g, sc.uniform_incidence_lists(g, 6))
         assert calls == []
-        assert sc.verify_strong(edgeless, None, PartialColoring(), True) == []
-        assert calls == [edgeless]
+        sc.strong_chromatic_index(sc.named("k23"))  # the oracle search still builds one
+        assert len(calls) >= 1
+
+
+def _reference_verify_strong(b, conflicts, L, pc, require_total):
+    """``verify_strong``'s report, with each edge's conflicts from ``brute_conflicts``."""
+    m = b.graph.edge_count
+    out = []
+    for e, c in sorted(pc.assigned.items()):
+        if not 0 <= e < m:
+            out.append(sc.Violation("list", (e,), f"unknown edge id {e}"))
+            continue
+        if L is not None and c not in L.get(e, ()):
+            out.append(sc.Violation("list", (e,), f"color {c} not in list of edge {e}"))
+        for f in sorted(conflicts[e]):
+            if f > e and pc.assigned.get(f) == c:
+                out.append(sc.Violation("conflict", (e, f), f"edges {e} and {f} share color {c}"))
+    if require_total:
+        for e in range(m):
+            if e not in pc.assigned:
+                out.append(sc.Violation("uncolored", (e,), f"edge {e} has no color"))
+    return out
+
+
+class TestVerifyStrongEquivalence:
+    """``verify_strong`` reports exactly what a walk over brute-force conflicts reports.
+
+    Violations are compared by ``repr``, so kinds, pairs, order and
+    messages must all agree.
+    """
+
+    @staticmethod
+    def corpus():
+        graphs = [rand_b23(2 + seed % 9, 2 + seed % 7, seed) for seed in range(40)]
+        graphs += [sc.subdivide(sc.named(name)).bipartite for name in ("double-edge", "triple-edge")]
+        graphs.append(sc.BipartiteGraph(sc.build_multigraph(3, []), ["A", "B", "A"]))
+        return graphs
+
+    @staticmethod
+    def random_case(b, rng):
+        """A random coloring, list map and totality flag, with every kind of defect."""
+        m = b.graph.edge_count
+        palette = 2 + rng.below(6)  # 2..7 colors, so colors repeat
+        assigned = {e: 1 + rng.below(palette) for e in range(m) if rng.below(6)}  # missing edges
+        for _ in range(rng.below(3)):  # unknown edge ids
+            assigned[(m, m + 1, m + 7, -1)[rng.below(4)]] = 1 + rng.below(palette)
+        L = None
+        if rng.below(2):  # partial lists, so some colors miss them
+            L = {
+                e: frozenset(1 + rng.below(palette) for _ in range(rng.below(5)))
+                for e in range(m)
+                if rng.below(4)
+            }
+        return PartialColoring(assigned), L, bool(rng.below(2))
+
+    def test_random_colorings_report_the_same(self):
+        rng = sc.SplitMix64(1018)
+        kinds = set()
+        for b in self.corpus():
+            conflicts = [brute_conflicts(b, e) for e in range(b.graph.edge_count)]
+            for _ in range(25):
+                pc, L, total = self.random_case(b, rng)
+                want = _reference_verify_strong(b, conflicts, L, pc, total)
+                got = sc.verify_strong(b, L, pc, total)
+                assert [repr(v) for v in got] == [repr(v) for v in want]
+                kinds.update(v.kind for v in want)
+        # every kind of violation occurred, so each branch was compared
+        assert kinds == {"conflict", "list", "uncolored"}
+
+    def test_valid_colorings_report_nothing(self):
+        for b in self.corpus():
+            m = b.graph.edge_count
+            L = sc.uniform_lists(range(m), 6)
+            pc, _ = sc.color_strong_23(b, L)
+            assert sc.verify_strong(b, L, pc, require_total=True) == []
+            conflicts = [brute_conflicts(b, e) for e in range(m)]
+            assert _reference_verify_strong(b, conflicts, L, pc, True) == []
+            if m == 0:
+                continue
+            # clash-free, but one edge missing, one key not an edge id and one list miss
+            del pc.assigned[0]
+            pc.assigned[m] = 1
+            L[m - 1] = frozenset()
+            for total in (False, True):
+                want = _reference_verify_strong(b, conflicts, L, pc, total)
+                got = sc.verify_strong(b, L, pc, total)
+                assert [repr(v) for v in got] == [repr(v) for v in want] != []
 
 
 class TestVerifyIncidence:

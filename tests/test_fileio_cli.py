@@ -619,6 +619,45 @@ class TestCanonicalKeys:
         assert "appears twice" in capsys.readouterr().err
 
 
+class TestUnknownListKeys:
+    """A lists file naming an edge id or incidence the graph lacks is exit 2.
+
+    The k23 lists below name every key of the graph, then any extra keys;
+    the error names the first extra key, in file order.
+    """
+
+    EXTRA = {"strong": ["99", "7"], "incidence": ["0:99", "5:0"]}
+
+    @staticmethod
+    def lists_path(tmp_path, k23, mode, extra):
+        if mode == "strong":
+            keys = [str(e) for e in range(k23.graph.edge_count)]
+        else:
+            keys = [f"{v}:{e}" for v, e in k23.graph.incidences()]
+        path = tmp_path / "lists.json"
+        path.write_text(_lists_doc(", ".join(f'"{k}": {SIX}' for k in keys + extra)))
+        return path
+
+    @pytest.mark.parametrize("mode, kind", [("strong", "an edge id"), ("incidence", "an incidence")])
+    @pytest.mark.parametrize("command", ["color", "verify", "oracle"])
+    def test_extra_key_is_rejected(self, tmp_path, capsys, k23, k23_file, command, mode, kind):
+        lpath = self.lists_path(tmp_path, k23, mode, self.EXTRA[mode])
+        if command == "verify":
+            cpath = tmp_path / "c.colors"
+            cpath.write_text(_coloring_doc(mode, '"0": 1' if mode == "strong" else '"0:0": 1'))
+            argv = ["verify", str(k23_file), str(cpath), "--lists", str(lpath)]
+        else:
+            argv = [command, str(k23_file), "--mode", mode, "--lists", str(lpath)]
+        assert cli.main(argv) == 2
+        bad = self.EXTRA[mode][0]
+        assert capsys.readouterr().err == f"error: lists key {bad!r} is not {kind} of the graph\n"
+
+    @pytest.mark.parametrize("mode", ["strong", "incidence"])
+    def test_every_known_key_is_accepted(self, tmp_path, k23, k23_file, mode):
+        lpath = self.lists_path(tmp_path, k23, mode, [])
+        assert cli.main(["color", str(k23_file), "--mode", mode, "--lists", str(lpath)]) == 0
+
+
 class _Allocated(Exception):
     """Raised by a stand-in for a call that would allocate by its argument."""
 

@@ -135,10 +135,9 @@ def test_golden_path_procedures():
         runs.append((odd_path_graph(n), sc.OddPathConfig.standalone(n), sc.color_odd_path,
                      sizes, 500))
     for b, cfg, procedure, sizes, count in runs:
-        cg = sc.build_conflict_graph(b)
         for _ in range(count):
             stats = SolveStats()
-            pc = procedure(_standalone_lists(rng, sizes), PartialColoring(), cfg, cg, stats)
+            pc = procedure(_standalone_lists(rng, sizes), PartialColoring(), cfg, b, stats)
             chunks.append(repr((list(pc.assigned.items()), stats.sdr_calls)))
     assert _digest(chunks) == (
         "bbe751a9effe3aa9e4da2872d598b85608c5434944ed9813c2a2eefd84ef3de1"

@@ -28,9 +28,10 @@ def by_edge_id(lists):
 
 def run_five_path(lists):
     """Assignments of ``precolor_five_path`` on the standalone gadget, in order."""
-    cg = sc.build_conflict_graph(five_path_graph())
     cfg = FivePathConfig.standalone()
-    pc = sc.precolor_five_path(by_edge_id(lists), PartialColoring(), cfg, cg, SolveStats())
+    pc = sc.precolor_five_path(
+        by_edge_id(lists), PartialColoring(), cfg, five_path_graph(), SolveStats()
+    )
     return list(pc.assigned.items())
 
 
@@ -42,9 +43,8 @@ def check_five_path(lists):
     L = by_edge_id(lists)
     pc = PartialColoring(dict(out))
     assert sc.verify_strong(b, L, pc) == []
-    cg = sc.build_conflict_graph(b)
-    assert len(sc.available(vw, L, pc, cg)) >= 3
-    assert len(sc.available(wx, L, pc, cg)) >= 2
+    assert len(sc.available(vw, L, pc, b)) >= 3
+    assert len(sc.available(wx, L, pc, b)) >= 2
     return out
 
 
@@ -111,24 +111,24 @@ class TestPrecolorFivePath:
         # colored and each costs the seed's edges at most one color
         b = cycle_gadget(8)
         cfg = FivePathConfig((0, 1, 2, 3, 4, 8, 9), (0, 1, 2, 3, 8, 9))
-        cg = sc.build_conflict_graph(b)
         rng = SplitMix64(8)
         for trial in range(200):
             palette = 6 + rng.below(3)
             L = sc.random_lists(range(b.graph.edge_count), 6, palette, rng.next_u64())
             pc = PartialColoring({7: min(L[7]), 4: max(L[4] - {min(L[7])})})
-            sc.precolor_five_path(L, pc, cfg, cg, SolveStats())
+            sc.precolor_five_path(L, pc, cfg, b, SolveStats())
             assert sorted(pc.assigned) == [0, 3, 4, 7, 8, 9]
-            assert sc.verify_strong(b, L, pc, cg=cg) == []
-            assert len(sc.available(1, L, pc, cg)) >= 3
-            assert len(sc.available(2, L, pc, cg)) >= 2
+            assert sc.verify_strong(b, L, pc) == []
+            assert len(sc.available(1, L, pc, b)) >= 3
+            assert len(sc.available(2, L, pc, b)) >= 2
 
 
 def run_odd_path(n, lists):
     """Assignments of ``color_odd_path`` on the standalone gadget, in order."""
-    cg = sc.build_conflict_graph(odd_path_graph(n))
     cfg = OddPathConfig.standalone(n)
-    pc = sc.color_odd_path(by_edge_id(lists), PartialColoring(), cfg, cg, SolveStats())
+    pc = sc.color_odd_path(
+        by_edge_id(lists), PartialColoring(), cfg, odd_path_graph(n), SolveStats()
+    )
     return list(pc.assigned.items())
 
 

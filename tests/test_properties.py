@@ -60,15 +60,14 @@ def test_rainbow_merge_is_always_valid(seed, na):
         return
     rng = SplitMix64(seed ^ 0xABCDEF)
     L = sc.random_lists(range(m), 6, 12, rng.next_u64())
-    cg = sc.build_conflict_graph(b)
     pc = PartialColoring()
     precolored = [e for e in range(m) if rng.below(2) == 0]
     for e in precolored:
-        avail = sc.available(e, L, pc, cg)
+        avail = sc.available(e, L, pc, b)
         if avail:
             pc.set(e, min(avail))
     rest = [e for e in range(m) if e not in pc.assigned]
-    chosen = sc.rainbow_sdr(rest, {e: sc.available(e, L, pc, cg) for e in rest})
+    chosen = sc.rainbow_sdr(rest, {e: sc.available(e, L, pc, b) for e in rest})
     if chosen is None:
         return
     for e, c in chosen.items():

@@ -48,8 +48,7 @@ class TestGreedyUnwind:
         state = PeelState.for_graph(b)
         while sc.peel_step(b, state) is not None:
             pass
-        cg = sc.build_conflict_graph(b)
-        pc = sc.greedy_unwind(state.stack, L, PartialColoring(), cg, SolveStats())
+        pc = sc.greedy_unwind(state.stack, L, PartialColoring(), b, SolveStats())
         assert_valid_strong(b, L, pc)
         assert min(pc.assigned.values()) == 1
 
@@ -59,8 +58,7 @@ class TestGreedyUnwind:
         state = PeelState.for_graph(b)
         while sc.peel_step(b, state) is not None:
             pass
-        cg = sc.build_conflict_graph(b)
-        pc = sc.greedy_unwind(state.stack, L, PartialColoring(), cg, SolveStats())
+        pc = sc.greedy_unwind(state.stack, L, PartialColoring(), b, SolveStats())
         assert_valid_strong(b, L, pc)
 
     def test_a_rule_edges_keep_two_colors(self):
@@ -86,11 +84,10 @@ class TestGreedyUnwind:
                 if e is None:
                     break
                 rules[e] = b.part_of[min(qualifying)]
-            cg = sc.build_conflict_graph(b)
             pc = PartialColoring()
             while state.stack:
                 e = state.stack.pop()
-                avail = sc.available(e, L, pc, cg)
+                avail = sc.available(e, L, pc, b)
                 if rules[e] == "A":
                     assert len(avail) >= 2
                 else:
@@ -116,7 +113,6 @@ class TestExtendC4:
     def setup_method(self):
         self.b = c4_gadget()
         self.cycle = sc.shortest_cycle(self.b)
-        self.cg = sc.build_conflict_graph(self.b)
         # gadget edge ids: cycle edges 0..3, pendant edges 4 (at v=1), 5 (at x=3)
         self.pend = sorted(eid for _, eid in self.cycle.pendant.values())
         self.cyc = list(self.cycle.edges)
@@ -124,7 +120,7 @@ class TestExtendC4:
     def run(self, L):
         pc = PartialColoring()
         stats = SolveStats()
-        sc.extend_c4(L, pc, self.cycle, self.cg, stats)
+        sc.extend_c4(L, pc, self.cycle, self.b, stats)
         assert_valid_strong(self.b, L, pc)
         assert len(pc.assigned) == 6
         return pc, stats
@@ -159,7 +155,7 @@ class TestExtendC4Coincident:
         L = sc.uniform_lists(range(6), 6)
         pc = PartialColoring()
         stats = SolveStats()
-        sc.extend_c4(L, pc, cycle, sc.build_conflict_graph(k23), stats)
+        sc.extend_c4(L, pc, cycle, k23, stats)
         assert_valid_strong(k23, L, pc, total=True)
         assert sorted(pc.assigned.values()) == [1, 2, 3, 4, 5, 6]
         assert stats.k23_base_cases == 1 and stats.c4_extensions == 0
@@ -169,13 +165,12 @@ class TestExtendC6:
     def setup_method(self):
         self.b = c6_gadget()
         self.cycle = sc.shortest_cycle(self.b)
-        self.cg = sc.build_conflict_graph(self.b)
 
     def run(self, by_role):
         L = _c6_lists(self.b, by_role)
         pc = PartialColoring()
         stats = SolveStats()
-        sc.extend_c6(L, pc, self.cycle, self.cg, stats)
+        sc.extend_c6(L, pc, self.cycle, self.b, stats)
         assert_valid_strong(self.b, L, pc)
         assert len(pc.assigned) == 9
         assert stats.c6_extensions == 1
@@ -259,7 +254,6 @@ class TestExtendLongCycle:
     def test_exact_entry_sizes(self, n):
         b = cycle_gadget(n)
         cycle = sc.shortest_cycle(b)
-        cg = sc.build_conflict_graph(b)
         sizes = {e: 5 for e in cycle.edges}
         for _, eid in cycle.pendant.values():
             sizes[eid] = 3
@@ -269,7 +263,7 @@ class TestExtendLongCycle:
             L = ListAssignment({e: frozenset(rng.subset(k, palette)) for e, k in sizes.items()})
             pc = PartialColoring()
             stats = SolveStats()
-            sc.extend_long_cycle(L, pc, cycle, cg, stats)
+            sc.extend_long_cycle(L, pc, cycle, b, stats)
             assert_valid_strong(b, L, pc, total=True)
 
     def test_rejects_short_cycle(self):
@@ -277,9 +271,7 @@ class TestExtendLongCycle:
         cycle = sc.shortest_cycle(b)
         L = sc.uniform_lists(range(9), 6)
         with pytest.raises(sc.InternalInvariant):
-            sc.extend_long_cycle(
-                L, PartialColoring(), cycle, sc.build_conflict_graph(b), SolveStats()
-            )
+            sc.extend_long_cycle(L, PartialColoring(), cycle, b, SolveStats())
 
 
 class TestColorStrong23:
