@@ -94,6 +94,39 @@ class TestSubdivide:
             g = sc.named(name)
             sc.subdivide(g).bipartite.validate_23()
 
+    def test_matches_reference_construction(self):
+        # reference: every incidence as an endpoint pair, validated through
+        # build_multigraph and BipartiteGraph
+        def reference(g):
+            n, m = g.vertex_count, g.edge_count
+            pairs, incidence_to_edge = [], {}
+            for e, (u, v) in enumerate(g.edges):
+                for w in (u, v):
+                    incidence_to_edge[sc.Incidence(w, e)] = len(pairs)
+                    pairs.append((w, n + e))
+            b = sc.BipartiteGraph(sc.build_multigraph(n + m, pairs), ["B"] * n + ["A"] * m)
+            return b, incidence_to_edge
+
+        graphs = [sc.named(name) for name in sc.fixture_names()]
+        graphs = [g.graph if isinstance(g, sc.BipartiteGraph) else g for g in graphs]
+        rng = SplitMix64(14)
+        graphs += [sc.random_cubic(4 + 2 * rng.below(8), rng.next_u64()) for _ in range(100)]
+        with_parallel = sum(len(set(map(frozenset, g.edges))) < g.edge_count for g in graphs)
+        assert with_parallel >= 30
+        for g in graphs:
+            sub = sc.subdivide(g)
+            ref, ref_map = reference(g)
+            b = sub.bipartite
+            assert b.graph.vertex_count == ref.graph.vertex_count
+            assert b.graph.edges == ref.graph.edges
+            assert b.graph.adj == ref.graph.adj
+            assert b.part_of == ref.part_of
+            assert list(sub.incidence_to_edge.items()) == list(ref_map.items())
+            # some incidences lack a list; theirs must read as empty
+            inc_lists = {inc: frozenset(rng.subset(3, 8)) for inc in g.incidences() if rng.below(3)}
+            expected = {eid: frozenset(inc_lists.get(inc, ())) for inc, eid in ref_map.items()}
+            assert list(sub.edge_lists(inc_lists).items()) == list(expected.items())
+
 
 class TestInferParts:
     def test_even_cycle_alternates(self):
