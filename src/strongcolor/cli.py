@@ -231,8 +231,9 @@ def _cmd_stress(args) -> int:
         except BudgetExceeded:
             ok += 1  # oracle cross-check skipped, solve itself verified
     wall = time.perf_counter() - started
+    rate = 100.0 * ok / args.count if args.count else 100.0  # no instances, none failed
     line = (
-        f"instances={args.count} ok={ok} rate={100.0 * ok / max(1, args.count):.1f}% "
+        f"instances={args.count} ok={ok} rate={rate:.1f}% "
         f"peeled={stats.peeled_edges} c4={stats.c4_extensions} c6={stats.c6_extensions} "
         f"long={stats.long_cycle_extensions} k23={stats.k23_base_cases} "
         f"sdr={stats.sdr_calls} wall={wall:.2f}s"

@@ -55,8 +55,9 @@ def _load(text: str) -> dict:
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("top-level value must be an object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1
+        raise FormatError(f"unsupported format_version {version!r}")
     return doc
 
 

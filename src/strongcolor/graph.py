@@ -166,50 +166,52 @@ def components(g: Multigraph) -> list:
 
 @dataclass(frozen=True)
 class SubdivisionMap:
-    """Result of subdividing every edge once.
+    """Result of subdividing every edge once; it holds only ``bipartite``.
 
     Original vertices keep their ids and land in part B; the midpoint of
-    original edge ``e`` is vertex ``n + e`` in part A.  The incidence
-    ``(v, e)`` of the original graph corresponds to the new edge joining
-    ``v`` and the midpoint of ``e``; that bijection is what transports
-    incidence colorings to strong edge-colorings.
+    original edge ``e`` is vertex ``n + e`` in part A.  Edge ``2e + s`` of
+    the subdivision joins ``g.edges[e][s]`` to that midpoint, so it is the
+    incidence ``(g.edges[e][s], e)``: edge ``i`` is the ``i``-th item of
+    ``g.incidences()``.  That bijection is what transports incidence
+    colorings to strong edge-colorings.
     """
 
     bipartite: BipartiteGraph
-    incidence_to_edge: dict
+
+    @property
+    def incidence_to_edge(self) -> dict:
+        """Incidence -> edge id of the subdivision, in edge id order."""
+        return {Incidence(w, i // 2): i for i, (w, _) in enumerate(self.bipartite.graph.edges)}
 
     def edge_lists(self, inc_lists: Mapping) -> dict:
         """Edge id -> the color list of its incidence; a missing list is empty."""
         return {
-            eid: frozenset(inc_lists.get(inc, ())) for inc, eid in self.incidence_to_edge.items()
+            i: frozenset(inc_lists.get((w, i // 2), ()))
+            for i, (w, _) in enumerate(self.bipartite.graph.edges)
         }
 
 
 def subdivide(g: Multigraph) -> SubdivisionMap:
-    """Subdivide each edge of ``g`` exactly once.
+    """Subdivide each edge of ``g`` exactly once, numbered as in :class:`SubdivisionMap`.
 
     The result is simple even when ``g`` has parallel edges (each parallel
     edge gets its own midpoint), has ``|V| + |E|`` vertices and ``2|E|``
-    edges, and midpoints all have degree 2.
+    edges, and midpoints all have degree 2.  The graph is written directly
+    in the order ``build_multigraph`` would give it, and ``BipartiteGraph``
+    checks it as it checks any input.
     """
     n, m = g.vertex_count, g.edge_count
-    pairs = []
-    incidence_to_edge = {}
+    edges = []
+    adj: list = [[] for _ in range(n)]
+    mids = []
     for e, (u, v) in enumerate(g.edges):
         mid = n + e
-        incidence_to_edge[Incidence(u, e)] = len(pairs)
-        pairs.append((u, mid))
-        incidence_to_edge[Incidence(v, e)] = len(pairs)
-        pairs.append((v, mid))
-    sg = build_multigraph(n + m, pairs)
-    part_of = [PART_B] * n + [PART_A] * m
-    bip = BipartiteGraph(sg, part_of)
-    if sg.vertex_count != n + m or sg.edge_count != 2 * m:
-        raise InternalInvariant("subdivision size mismatch")
-    for e in range(m):
-        if sg.degree(n + e) != 2:
-            raise InternalInvariant(f"midpoint of edge {e} has degree {sg.degree(n + e)}")
-    return SubdivisionMap(bip, incidence_to_edge)
+        edges += ((u, mid), (v, mid))
+        adj[u].append((2 * e, mid))
+        adj[v].append((2 * e + 1, mid))
+        mids.append(((2 * e, u), (2 * e + 1, v)))
+    sg = Multigraph(n + m, tuple(edges), tuple(map(tuple, adj)) + tuple(mids))
+    return SubdivisionMap(BipartiteGraph(sg, [PART_B] * n + [PART_A] * m))
 
 
 def infer_parts(g: Multigraph) -> BipartiteGraph:
@@ -221,41 +223,26 @@ def infer_parts(g: Multigraph) -> BipartiteGraph:
     a valid labeling exists.
     """
     n = g.vertex_count
-    color = [-1] * n  # 0 = anchor side, 1 = other side
+    side = [-1] * n  # 0 = anchor side, 1 = other side
+    part_of = [PART_B] * n
     for comp in components(g):
         anchor = comp[0]
-        color[anchor] = 0
+        side[anchor] = 0
         queue = [anchor]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
+        for v in queue:
             for _, w in g.adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
+                if side[w] == -1:
+                    side[w] = 1 - side[v]
                     queue.append(w)
-                elif color[w] == color[v]:
+                elif side[w] == side[v]:
                     raise NotBipartite(f"odd cycle through vertices {v} and {w}")
-
-        def fits(anchor_part: str) -> bool:
-            for v in comp:
-                p = anchor_part if color[v] == 0 else (PART_A if anchor_part == PART_B else PART_B)
-                cap = 2 if p == PART_A else 3
-                if g.degree(v) > cap:
-                    return False
-            return True
-
-        if fits(PART_B):
-            anchor_part, other_part = PART_B, PART_A
-        elif fits(PART_A):
-            anchor_part, other_part = PART_A, PART_B
+        for parts in ((PART_B, PART_A), (PART_A, PART_B)):  # parts[side]
+            if all(g.degree(v) <= (2 if parts[side[v]] == PART_A else 3) for v in comp):
+                break
         else:
             raise NotTwoThree(f"component of vertex {anchor} admits no (2,3) labeling")
         for v in comp:
-            # encode the final label (2 = B, 3 = A) without clashing with 0/1
-            part = anchor_part if color[v] == 0 else other_part
-            color[v] = 2 if part == PART_B else 3
-    part_of = [PART_B if c == 2 else PART_A for c in color]
+            part_of[v] = parts[side[v]]
     return BipartiteGraph(g, part_of)
 
 

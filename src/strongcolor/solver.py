@@ -696,12 +696,13 @@ def color_incidence(
         raise DegreeTooHigh(f"maximum degree {g.max_degree()} exceeds 3")
     sub = subdivide(g)
     lists = sub.edge_lists(L)
-    for inc, eid in sub.incidence_to_edge.items():
-        if len(lists[eid]) < 6:
-            raise ListTooSmall(f"incidence {inc} has a list of size {len(lists[eid])}, need 6")
+    incs = list(g.incidences())  # incs[i] is edge i of the subdivision
+    for inc, lst in zip(incs, lists.values()):
+        if len(lst) < 6:
+            raise ListTooSmall(f"incidence {inc} has a list of size {len(lst)}, need 6")
     # color_strong_23 verifies its result, and incidence adjacency is strong
     # adjacency in the subdivision, so the transported coloring needs no
     # second check
     pc, stats = color_strong_23(sub.bipartite, lists)
-    coloring = {inc: pc.assigned[eid] for inc, eid in sub.incidence_to_edge.items()}
+    coloring = {inc: pc.assigned[eid] for eid, inc in enumerate(incs)}
     return coloring, stats

@@ -507,6 +507,11 @@ class TestCliStress:
         assert cli.main(["stress", "--count", "3", "--seed", "7", "--size", "8"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_no_instances_is_full_rate(self, capsys):
+        # with no instances every instance is ok
+        assert cli.main(["stress", "--count", "0"]) == 0
+        assert "instances=0 ok=0 rate=100.0% " in capsys.readouterr().out
+
     def test_cubic_family(self):
         r = run_cli("stress", "--count", 20, "--seed", 3, "--size", 10, "--family", "cubic")
         assert r.returncode == 0, r.stdout + r.stderr
@@ -617,6 +622,26 @@ class TestCanonicalKeys:
         lpath.write_text(_lists_doc(f'"{key}": {SIX}, "{key}": {SIX}'))
         assert cli.main(["color", str(k23_file), "--mode", mode, "--lists", str(lpath)]) == 2
         assert "appears twice" in capsys.readouterr().err
+
+
+class TestFormatVersion:
+    """``format_version`` must be the JSON integer 1; ``true`` and ``1.0`` compare equal to it."""
+
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    @pytest.mark.parametrize("doc", ["graph", "lists", "coloring"])
+    def test_not_an_integer_is_exit_2(self, tmp_path, capsys, k23_file, doc, version):
+        lpath, cpath = tmp_path / "lists.json", tmp_path / "k23.colors"
+        lpath.write_text(fileio.lists_to_text(sc.uniform_lists(range(6), 6)))
+        assert cli.main(["color", str(k23_file), "--lists", str(lpath), "--out", str(cpath)]) == 0
+        path = {"graph": k23_file, "lists": lpath, "coloring": cpath}[doc]
+        path.write_text(path.read_text().replace('"format_version": 1', f'"format_version": {version}'))
+        capsys.readouterr()
+        if doc == "coloring":
+            argv = ["verify", str(k23_file), str(cpath)]
+        else:
+            argv = ["color", str(k23_file), "--lists", str(lpath)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: unsupported format_version {json.loads(version)!r}\n"
 
 
 class TestUnknownListKeys:
