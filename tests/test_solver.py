@@ -1,5 +1,6 @@
 import ast
 import inspect
+from heapq import heapify, heappop, heappush
 
 import pytest
 
@@ -16,6 +17,143 @@ from conftest import (
     rand_b23,
 )
 from test_golden import _generalized_petersen
+
+
+# Frozen copies of the peel and the greedy unwind in their first form: one
+# call per peeled edge, a helper call per qualify test, and each greedy
+# color read through ``available``.  The solver must reproduce their peel
+# stack, coloring and counters exactly.
+
+
+def _ref_qualifies(b, deg, v):
+    if deg[v] < 1:
+        return False
+    cap = 1 if b.part_of[v] == sc.PART_A else 2
+    return deg[v] <= cap
+
+
+def _ref_remove_edge(b, alive, deg, heap, e):
+    alive[e] = False
+    for v in b.graph.endpoints(e):
+        deg[v] -= 1
+        if _ref_qualifies(b, deg, v):
+            heappush(heap, v)
+
+
+def _ref_peel_step(b, alive, deg, heap, stack):
+    while heap:
+        v = heappop(heap)
+        if not _ref_qualifies(b, deg, v):
+            continue
+        e = min(eid for eid, _ in b.graph.adj[v] if alive[eid])
+        _ref_remove_edge(b, alive, deg, heap, e)
+        stack.append(e)
+        return e
+    return None
+
+
+def _ref_greedy_unwind(stack, L, pc, b, stats):
+    while stack:
+        item = stack.pop()
+        if isinstance(item, sc.CycleDescriptor):
+            extend = {4: sc.extend_c4, 6: sc.extend_c6}.get(len(item), sc.extend_long_cycle)
+            extend(L, pc, item, b, stats)
+            continue
+        avail = sc.available(item, L, pc, b)
+        if not avail:
+            raise sc.InternalInvariant(f"peeled edge {item} has no available color at unwind")
+        pc.set(item, min(avail))
+    return pc
+
+
+def _ref_solve(b, L):
+    """The solver's carve, peel and unwind from the frozen copies: (stack, pc, stats)."""
+    g = b.graph
+    alive = [True] * g.edge_count
+    deg = [g.degree(v) for v in range(g.vertex_count)]
+    heap = [v for v in range(g.vertex_count) if _ref_qualifies(b, deg, v)]
+    heapify(heap)
+    stack = []
+    qualifying = set(heap)
+    for comp in sc.components(g):
+        if deg[comp[0]] and qualifying.isdisjoint(comp):
+            _, cyc = solver._residual_shortest_cycle(b, comp)
+            desc = solver._descriptor_from_cycle(b, list(cyc))
+            for v in desc.vertices:
+                for eid, _ in g.adj[v]:
+                    if alive[eid]:
+                        _ref_remove_edge(b, alive, deg, heap, eid)
+            stack.append(desc)
+    stats = SolveStats()
+    while _ref_peel_step(b, alive, deg, heap, stack) is not None:
+        stats.peeled_edges += 1
+    peeled = list(stack)
+    pc = _ref_greedy_unwind(stack, L, PartialColoring(), b, stats)
+    return peeled, pc, stats
+
+
+def _relabel(b, L, rng):
+    """A copy with shuffled vertex ids, edge ids and endpoint order."""
+    g = b.graph
+    vmap = list(range(g.vertex_count))
+    rng.shuffle(vmap)
+    order = list(range(g.edge_count))  # new edge i is old edge order[i]
+    rng.shuffle(order)
+    pairs = []
+    for old in order:
+        u, v = g.edges[old]
+        pairs.append((vmap[v], vmap[u]) if rng.below(2) else (vmap[u], vmap[v]))
+    part_of = [None] * g.vertex_count
+    for v, p in enumerate(b.part_of):
+        part_of[vmap[v]] = p
+    relabelled = sc.BipartiteGraph(sc.build_multigraph(g.vertex_count, pairs), part_of)
+    return relabelled, {i: L[old] for i, old in enumerate(order)}
+
+
+class TestPeelUnwindEquivalence:
+    @staticmethod
+    def piece(rng, kind):
+        if kind == 0:
+            return rand_b23(1 + rng.below(14), 1 + rng.below(10), rng.next_u64())
+        if kind == 1:
+            return sc.subdivide(sc.random_cubic(4 + 2 * rng.below(8), rng.next_u64())).bipartite
+        n = 5 + rng.below(10)
+        return sc.subdivide(_generalized_petersen(n, 1 + rng.below(n // 2 - 1))).bipartite
+
+    @staticmethod
+    def mixed_lists(m, rng):
+        """Lists of 6 to 8 colors from a palette of 8 to 12, drawn per edge."""
+        palette = 8 + rng.below(5)
+        return {e: frozenset(rng.subset(6 + rng.below(3), palette)) for e in range(m)}
+
+    def test_same_stack_coloring_and_stats(self, monkeypatch):
+        unwound = []
+        unwind = solver.greedy_unwind
+
+        def recorded(stack, *args):
+            unwound.append(list(stack))
+            return unwind(stack, *args)
+
+        monkeypatch.setattr(solver, "greedy_unwind", recorded)
+        rng = SplitMix64(20261018)
+        descriptors = peeled = 0
+        for i in range(150):
+            kind = i % 4
+            if kind < 3:
+                b = self.piece(rng, kind)
+            else:
+                b = disjoint_union([self.piece(rng, rng.below(3)) for _ in range(2 + rng.below(3))])
+            L = self.mixed_lists(b.graph.edge_count, rng)
+            for b, L in ((b, L), _relabel(b, L, rng)):
+                stack, pc, stats = _ref_solve(b, L)
+                unwound.clear()
+                live_pc, live_stats = sc.color_strong_23(b, L)
+                assert unwound == [stack]
+                assert live_pc.assigned == pc.assigned
+                assert live_stats == stats
+                descriptors += sum(isinstance(x, sc.CycleDescriptor) for x in stack)
+                peeled += stats.peeled_edges
+        assert descriptors > 250 and peeled > 10000
 
 
 class TestPeelStep:
