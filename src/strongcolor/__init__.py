@@ -77,7 +77,7 @@ from .solver import (
     extend_c6,
     extend_long_cycle,
     greedy_unwind,
-    peel_step,
+    peel,
     precolor_five_path,
     uniform_incidence_lists,
 )

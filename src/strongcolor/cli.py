@@ -192,6 +192,7 @@ def _cmd_stress(args) -> int:
     budget = _oracle_budget()  # up front: a bad value is exit 2, not a failed instance
     for bad, problem in (
         (args.count < 0, f"--count must be at least 0, got {args.count}"),
+        (args.k < 0, f"--k must be at least 0, got {args.k}"),
         (args.k > args.palette, f"--k {args.k} is larger than --palette {args.palette}"),
         (args.size < 0, f"--size must be at least 0, got {args.size}"),
     ):

@@ -53,7 +53,7 @@ class SplitMix64:
 
     def subset(self, k: int, palette: int) -> Tuple[int, ...]:
         """A uniform k-subset of {0..palette-1}, returned sorted."""
-        if k > palette:
+        if not 0 <= k <= palette:
             raise BadSize(f"cannot draw {k} distinct colors from a palette of {palette}")
         pool = list(range(palette))
         for i in range(k):

@@ -104,14 +104,19 @@ class BipartiteGraph:
         for p in part_of:
             if p not in (PART_A, PART_B):
                 raise NotBipartite(f"unknown part label {p!r}")
-        seen = set()
-        for eid, (u, v) in enumerate(graph.edges):
-            if part_of[u] == part_of[v]:
-                raise NotBipartite(f"edge {eid} joins two {part_of[u]}-vertices")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise NotTwoThree(f"parallel edge {eid} between {u} and {v}")
-            seen.add(key)
+        # the crossing edges give m distinct sorted pairs exactly when every
+        # edge crosses and none is parallel; the loop below runs only to
+        # name the first fault
+        crossing = {(u, v) if u < v else (v, u) for u, v in graph.edges if part_of[u] != part_of[v]}
+        if len(crossing) < len(graph.edges):
+            seen = set()
+            for eid, (u, v) in enumerate(graph.edges):
+                if part_of[u] == part_of[v]:
+                    raise NotBipartite(f"edge {eid} joins two {part_of[u]}-vertices")
+                key = (min(u, v), max(u, v))
+                if key in seen:
+                    raise NotTwoThree(f"parallel edge {eid} between {u} and {v}")
+                seen.add(key)
         self.graph = graph
         self.part_of = part_of
 

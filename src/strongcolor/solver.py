@@ -44,8 +44,8 @@ assume; a coloring from truncated lists is valid for the originals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .conflict import (
     ListAssignment,
@@ -93,56 +93,58 @@ class SolveStats:
 # peeling
 
 
-def _qualifies(b: BipartiteGraph, deg: list, v: int) -> bool:
-    if deg[v] < 1:
-        return False
-    cap = 1 if b.part_of[v] == PART_A else 2
-    return deg[v] <= cap
-
-
-def _remove_edge(b: BipartiteGraph, alive: list, deg: list, heap: list, e: int) -> None:
-    alive[e] = False
-    for v in b.graph.endpoints(e):
-        deg[v] -= 1
-        if _qualifies(b, deg, v):
-            heappush(heap, v)
-
-
 @dataclass
 class PeelState:
-    """Residual subgraph plus the deferred-edge stack for peeling."""
+    """Residual subgraph plus the deferred-edge stack for peeling.
+
+    ``cap[v]`` is the largest residual degree at which v qualifies: 1 for
+    an A-vertex, 2 for a B-vertex.  A vertex qualifies when
+    ``0 < deg[v] <= cap[v]``; ``heap`` holds candidates, re-tested on pop.
+    """
 
     alive: list
     deg: list
+    cap: list
     heap: list
     stack: list
 
     @staticmethod
     def for_graph(b: BipartiteGraph) -> "PeelState":
-        g = b.graph
-        alive = [True] * g.edge_count
-        deg = [g.degree(v) for v in range(g.vertex_count)]
-        heap = [v for v in range(g.vertex_count) if _qualifies(b, deg, v)]
-        heapify(heap)
-        return PeelState(alive, deg, heap, [])
+        deg = list(map(len, b.graph.adj))
+        cap = [1 if p == PART_A else 2 for p in b.part_of]
+        heap = [v for v, d in enumerate(deg) if 0 < d <= cap[v]]  # ascending, so a heap
+        return PeelState([True] * b.graph.edge_count, deg, cap, heap, [])
 
 
-def peel_step(b: BipartiteGraph, state: PeelState) -> Optional[int]:
-    """Remove and return one deferrable edge, or None at the (2,3)-regular core.
+def _remove_edge(b: BipartiteGraph, state: PeelState, e: int) -> None:
+    state.alive[e] = False
+    for v in b.graph.endpoints(e):
+        state.deg[v] -= 1
+        if 0 < state.deg[v] <= state.cap[v]:
+            heappush(state.heap, v)
+
+
+def peel(b: BipartiteGraph, state: PeelState) -> Iterator[int]:
+    """Remove, stack and yield deferrable edges until the (2,3)-regular core is left.
 
     An edge is deferrable when its A-endpoint has residual degree <= 1 or
     its B-endpoint degree <= 2; the lowest qualifying vertex and then the
-    lowest incident edge id win.
+    lowest incident edge id win.  Each removal is ``_remove_edge``, written
+    out in the loop.
     """
-    while state.heap:
-        v = heappop(state.heap)
-        if not _qualifies(b, state.deg, v):
-            continue
-        e = min(eid for eid, _ in b.graph.adj[v] if state.alive[eid])
-        _remove_edge(b, state.alive, state.deg, state.heap, e)
-        state.stack.append(e)
-        return e
-    return None
+    adj, edges = b.graph.adj, b.graph.edges
+    alive, deg, cap, heap, stack = state.alive, state.deg, state.cap, state.heap, state.stack
+    while heap:
+        v = heappop(heap)
+        if 0 < deg[v] <= cap[v]:  # else a stale entry
+            e = min(f for f, _ in adj[v] if alive[f])
+            alive[e] = False
+            for w in edges[e]:
+                deg[w] -= 1
+                if 0 < deg[w] <= cap[w]:
+                    heappush(heap, w)
+            stack.append(e)
+            yield e
 
 
 def greedy_unwind(
@@ -156,19 +158,24 @@ def greedy_unwind(
 
     A peeled edge takes its smallest available color: sound because every
     peeled edge had at most 5 conflicts in the residual subgraph it was
-    peeled from, and only those edges are colored when it is popped.  A
-    carved ``CycleDescriptor`` goes to the extension for its length.
+    peeled from, and only those edges are colored when it is popped.  Its
+    colored conflicts are read by the two-hop walk of ``conflict_walk``,
+    written out here.  A carved ``CycleDescriptor`` goes to the extension
+    for its length.
     """
+    adj, edges = b.graph.adj, b.graph.edges
+    get = pc.assigned.get
     while stack:
-        item = stack.pop()
-        if isinstance(item, CycleDescriptor):
-            extend = {4: extend_c4, 6: extend_c6}.get(len(item), extend_long_cycle)
-            extend(L, pc, item, b, stats)
+        e = stack.pop()
+        if isinstance(e, CycleDescriptor):
+            extend = {4: extend_c4, 6: extend_c6}.get(len(e), extend_long_cycle)
+            extend(L, pc, e, b, stats)
             continue
-        avail = available(item, L, pc, b)
+        # an uncolored edge reads as None, which no list holds
+        avail = L[e] - {get(f) for x in edges[e] for g, w in adj[x] if g != e for f, _ in adj[w]}
         if not avail:
-            raise InternalInvariant(f"peeled edge {item} has no available color at unwind")
-        pc.set(item, min(avail))
+            raise InternalInvariant(f"peeled edge {e} has no available color at unwind")
+        pc.set(e, min(avail))
     return pc
 
 
@@ -663,13 +670,12 @@ def color_strong_23(
             # girth cycle and its pendants once (module lemma)
             _, cyc = _residual_shortest_cycle(b, comp)
             desc = _descriptor_from_cycle(b, list(cyc))
-            for v in desc.vertices:
-                for eid, _ in g.adj[v]:
-                    if state.alive[eid]:
-                        _remove_edge(b, state.alive, state.deg, state.heap, eid)
+            # every edge at a cycle vertex: the cycle and its pendants; the
+            # heap pops the same vertices whatever the removal order
+            for eid in {eid for v in desc.vertices for eid, _ in g.adj[v]}:
+                _remove_edge(b, state, eid)
             state.stack.append(desc)
-    while peel_step(b, state) is not None:
-        stats.peeled_edges += 1
+    stats.peeled_edges = sum(1 for _ in peel(b, state))
     if any(state.deg):
         raise InternalInvariant(f"{sum(state.deg) // 2} edges are left after peeling")
     pc = greedy_unwind(state.stack, L, PartialColoring(), b, stats)

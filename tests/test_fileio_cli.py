@@ -523,6 +523,7 @@ class TestCliStress:
         (["--family", "cubic", "--size", "-5"], "--size must be at least 0, got -5"),
         (["--family", "cubic", "--size", "1"], "cubic --size must be even and at least 4, got 1"),
         (["--family", "cubic", "--size", "7"], "cubic --size must be even and at least 4, got 7"),
+        (["--size", "6", "--palette", "3", "--k", "-1"], "--k must be at least 0, got -1"),
     ])
     def test_bad_arguments_rejected(self, capsys, argv, problem):
         # checked before the loop, so no instance is reported as failed

@@ -119,6 +119,13 @@ class TestRandomLists:
         with pytest.raises(sc.BadSize):
             sc.random_lists(range(2), 7, 6, 0)
 
+    def test_negative_list_size(self):
+        # a negative size once drew palette + k colors per edge
+        with pytest.raises(sc.BadSize):
+            sc.random_lists(range(3), -1, 3, 1)
+        with pytest.raises(sc.BadSize):
+            SplitMix64(1).subset(-1, 3)
+
 
 class TestNamed:
     def test_k23_fixture(self, k23):

@@ -166,6 +166,18 @@ class TestBipartiteGraph:
         with pytest.raises(NotBipartite):
             sc.BipartiteGraph(g, ["A", "A", "B"])
 
+    def test_first_fault_is_reported(self):
+        # edge 1 stays inside part A, edge 3 doubles edge 0: whichever comes
+        # first is named
+        g = sc.build_multigraph(4, [(0, 1), (0, 2), (2, 3), (1, 0)])
+        with pytest.raises(NotBipartite, match="^edge 1 joins two A-vertices$"):
+            sc.BipartiteGraph(g, ["A", "B", "A", "B"])
+        g = sc.build_multigraph(4, [(0, 1), (1, 0), (2, 3), (0, 2)])
+        with pytest.raises(NotTwoThree, match="^parallel edge 1 between 1 and 0$"):
+            sc.BipartiteGraph(g, ["A", "B", "A", "B"])
+        with pytest.raises(NotBipartite, match="^unknown part label 'C'$"):
+            sc.BipartiteGraph(g, ["A", "B", "C", "B"])
+
     def test_degree_cap(self):
         star = sc.build_multigraph(4, [(0, 1), (0, 2), (0, 3)])
         b = sc.BipartiteGraph(star, ["A", "B", "B", "B"])

@@ -90,7 +90,7 @@ def test_solver_end_to_end(seed, na, nb):
 
 
 def _peel_to_the_end(b, state) -> None:
-    while sc.peel_step(b, state) is not None:
+    for _ in sc.peel(b, state):
         pass
 
 
@@ -111,7 +111,7 @@ def test_one_removed_edge_peels_its_biregular_component(seed, n, petersen):
     state = PeelState.for_graph(b)
     assert state.heap == []  # biregular: nothing qualifies
     removed = rng.below(b.graph.edge_count)
-    solver._remove_edge(b, state.alive, state.deg, state.heap, removed)
+    solver._remove_edge(b, state, removed)
     _peel_to_the_end(b, state)
     hit = next(set(c) for c in sc.components(b.graph) if b.graph.edges[removed][0] in c)
     for e, (u, _) in enumerate(b.graph.edges):

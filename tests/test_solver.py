@@ -160,23 +160,24 @@ class TestPeelStep:
     def test_path_peels_completely(self):
         b = sc.infer_parts(sc.named("p5"))
         state = PeelState.for_graph(b)
-        peeled = []
-        while (e := sc.peel_step(b, state)) is not None:
-            peeled.append(e)
+        peeled = list(sc.peel(b, state))
         assert sorted(peeled) == list(range(4))
+        assert state.stack == peeled
 
     def test_even_cycle_peels_completely(self):
         b = sc.infer_parts(sc.named("c8"))
         state = PeelState.for_graph(b)
-        count = 0
-        while sc.peel_step(b, state) is not None:
-            count += 1
-        assert count == 8
+        assert sum(1 for _ in sc.peel(b, state)) == 8
 
     def test_biregular_core_returns_none(self):
         b = sc.subdivide(sc.named("k4")).bipartite
         state = PeelState.for_graph(b)
-        assert sc.peel_step(b, state) is None
+        assert list(sc.peel(b, state)) == []
+
+    def test_cap_by_part(self):
+        b = sc.infer_parts(sc.named("p5"))
+        state = PeelState.for_graph(b)
+        assert state.cap == [1 if p == sc.PART_A else 2 for p in b.part_of]
 
 
 class TestGreedyUnwind:
@@ -184,7 +185,7 @@ class TestGreedyUnwind:
         b = sc.infer_parts(sc.named("p5"))
         L = sc.uniform_lists(range(4), 6)
         state = PeelState.for_graph(b)
-        while sc.peel_step(b, state) is not None:
+        for _ in sc.peel(b, state):
             pass
         pc = sc.greedy_unwind(state.stack, L, PartialColoring(), b, SolveStats())
         assert_valid_strong(b, L, pc)
@@ -194,7 +195,7 @@ class TestGreedyUnwind:
         b = sc.subdivide(sc.named("star")).bipartite
         L = sc.uniform_lists(range(b.graph.edge_count), 6)
         state = PeelState.for_graph(b)
-        while sc.peel_step(b, state) is not None:
+        for _ in sc.peel(b, state):
             pass
         pc = sc.greedy_unwind(state.stack, L, PartialColoring(), b, SolveStats())
         assert_valid_strong(b, L, pc)
@@ -210,6 +211,7 @@ class TestGreedyUnwind:
                 continue
             L = sc.uniform_lists(range(m), 6)
             state = PeelState.for_graph(b)
+            it = sc.peel(b, state)
             rules = {}
             while True:
                 qualifying = [
@@ -218,7 +220,7 @@ class TestGreedyUnwind:
                     if state.deg[v] >= 1
                     and state.deg[v] <= (1 if b.part_of[v] == "A" else 2)
                 ]
-                e = sc.peel_step(b, state)
+                e = next(it, None)
                 if e is None:
                     break
                 rules[e] = b.part_of[min(qualifying)]
