@@ -121,10 +121,28 @@ class TestPeelUnwindEquivalence:
         return sc.subdivide(_generalized_petersen(n, 1 + rng.below(n // 2 - 1))).bipartite
 
     @staticmethod
-    def mixed_lists(m, rng):
-        """Lists of 6 to 8 colors from a palette of 8 to 12, drawn per edge."""
-        palette = 8 + rng.below(5)
-        return {e: frozenset(rng.subset(6 + rng.below(3), palette)) for e in range(m)}
+    def lists(m, rng, family):
+        """Lists for m edges from one of four families.
+
+        0: 6 to 8 colors from a palette of 8 to 12, drawn per edge;
+        1: 6 to 8 sparse colors, among them 0 and values of 2**64 and more;
+        2: 6 to 12 colors from a palette of 12 to 16;
+        3: one shared 1024-color frozenset on every edge.
+        """
+        if family == 0:
+            palette = 8 + rng.below(5)
+            return {e: frozenset(rng.subset(6 + rng.below(3), palette)) for e in range(m)}
+        if family == 1:
+            values = [0, 2**64, 2**64 + 1, 2**100] + [rng.next_u64() for _ in range(4 + rng.below(5))]
+            return {
+                e: frozenset(values[i] for i in rng.subset(6 + rng.below(3), len(values)))
+                for e in range(m)
+            }
+        if family == 2:
+            palette = 12 + rng.below(5)
+            return {e: frozenset(rng.subset(6 + rng.below(7), palette)) for e in range(m)}
+        shared = frozenset(range(1, 1025))
+        return dict.fromkeys(range(m), shared)
 
     def test_same_stack_coloring_and_stats(self, monkeypatch):
         unwound = []
@@ -137,13 +155,13 @@ class TestPeelUnwindEquivalence:
         monkeypatch.setattr(solver, "greedy_unwind", recorded)
         rng = SplitMix64(20261018)
         descriptors = peeled = 0
-        for i in range(150):
+        for i in range(200):
             kind = i % 4
             if kind < 3:
                 b = self.piece(rng, kind)
             else:
                 b = disjoint_union([self.piece(rng, rng.below(3)) for _ in range(2 + rng.below(3))])
-            L = self.mixed_lists(b.graph.edge_count, rng)
+            L = self.lists(b.graph.edge_count, rng, i // 4 % 4)
             for b, L in ((b, L), _relabel(b, L, rng)):
                 stack, pc, stats = _ref_solve(b, L)
                 unwound.clear()
@@ -151,9 +169,12 @@ class TestPeelUnwindEquivalence:
                 assert unwound == [stack]
                 assert live_pc.assigned == pc.assigned
                 assert live_stats == stats
-                descriptors += sum(isinstance(x, sc.CycleDescriptor) for x in stack)
+                # every carved cycle lies below every peeled edge
+                carved = [isinstance(x, sc.CycleDescriptor) for x in stack]
+                assert carved == sorted(carved, reverse=True)
+                descriptors += sum(carved)
                 peeled += stats.peeled_edges
-        assert descriptors > 250 and peeled > 10000
+        assert descriptors > 350 and peeled > 14000
 
 
 class TestPeelStep:
@@ -199,6 +220,15 @@ class TestGreedyUnwind:
             pass
         pc = sc.greedy_unwind(state.stack, L, PartialColoring(), b, SolveStats())
         assert_valid_strong(b, L, pc)
+
+    def test_exhausted_list_raises(self):
+        b = sc.infer_parts(sc.named("p5"))
+        state = PeelState.for_graph(b)
+        for _ in sc.peel(b, state):
+            pass
+        L = dict.fromkeys(range(4), frozenset({1}))
+        with pytest.raises(sc.InternalInvariant, match="has no available color at unwind"):
+            sc.greedy_unwind(state.stack, L, PartialColoring(), b, SolveStats())
 
     def test_a_rule_edges_keep_two_colors(self):
         # an edge deferred at an A-endpoint of degree <= 1 has at most 4
