@@ -134,10 +134,14 @@ def peel(b: BipartiteGraph, state: PeelState) -> Iterator[int]:
     """
     adj, edges = b.graph.adj, b.graph.edges
     alive, deg, cap, heap, stack = state.alive, state.deg, state.cap, state.heap, state.stack
+    m = len(alive)
     while heap:
         v = heappop(heap)
         if 0 < deg[v] <= cap[v]:  # else a stale entry
-            e = min(f for f, _ in adj[v] if alive[f])
+            e = m  # v qualifies, so some edge at v is alive and below m
+            for f, _ in adj[v]:
+                if f < e and alive[f]:
+                    e = f
             alive[e] = False
             for w in edges[e]:
                 deg[w] -= 1
@@ -154,28 +158,69 @@ def greedy_unwind(
     b: BipartiteGraph,
     stats: SolveStats,
 ) -> PartialColoring:
-    """Pop the peel stack LIFO and color each entry.
+    """Empty the peel stack LIFO: first every peeled edge greedily, then every carved cycle.
+
+    ``color_strong_23`` carves before it peels, so its carved
+    ``CycleDescriptor`` entries all lie below its peeled edge ids, and
+    popping the peeled edges first and the cycles after them is the LIFO
+    order; a cycle above a peeled edge raises ``InternalInvariant``.  The
+    peeled edges must be uncolored in ``pc`` on entry.
 
     A peeled edge takes its smallest available color: sound because every
     peeled edge had at most 5 conflicts in the residual subgraph it was
-    peeled from, and only those edges are colored when it is popped.  Its
-    colored conflicts are read by the two-hop walk of ``conflict_walk``,
-    written out here.  A carved ``CycleDescriptor`` goes to the extension
-    for its length.
+    peeled from, and only those edges are colored when it is popped.  The
+    colors are read from per-vertex masks.  The palette of the peeled
+    edges' lists is compressed to ascending bit indices, and ``at[v]`` is
+    the OR of the color bits on the edges at v.  An edge f conflicts with
+    e = xy exactly when f != e has an endpoint in N(x) | N(y): some edge g
+    meets both, and g is xw or yw for a neighbour w.  y is in N(x) and x
+    is in N(y), so the colored conflicts of the uncolored e are exactly
+    the colored edges at the at most 5 vertices of N(x) | N(y), and e
+    takes the lowest bit of its list's mask outside their OR.  Each mask
+    operation costs O(P / 30) machine words for P palette colors.
+
+    A carved cycle then goes to the extension for its length, which reads
+    ``pc`` through ``available``.
     """
+    split = 0  # the carved cycles are stack[:split]
+    while split < len(stack) and isinstance(stack[split], CycleDescriptor):
+        split += 1
+    peeled = stack[split:]
+    if CycleDescriptor in map(type, peeled):
+        raise InternalInvariant("a carved cycle lies above a peeled edge on the stack")
+    assigned = pc.assigned
+    if assigned and not assigned.keys().isdisjoint(peeled):
+        raise ValueError("a peeled edge is already colored")
     adj, edges = b.graph.adj, b.graph.edges
-    get = pc.assigned.get
-    while stack:
-        e = stack.pop()
-        if isinstance(e, CycleDescriptor):
-            extend = {4: extend_c4, 6: extend_c6}.get(len(e), extend_long_cycle)
-            extend(L, pc, e, b, stats)
-            continue
-        # an uncolored edge reads as None, which no list holds
-        avail = L[e] - {get(f) for x in edges[e] for g, w in adj[x] if g != e for f, _ in adj[w]}
-        if not avail:
+    palette = sorted(set().union(*map(L.__getitem__, peeled)))
+    bit = {c: 1 << i for i, c in enumerate(palette)}
+    at = [0] * b.graph.vertex_count
+    for f, c in assigned.items():
+        if c in bit:  # a color outside every peeled list blocks nothing
+            for v in edges[f]:
+                at[v] |= bit[c]
+    for e in reversed(peeled):
+        x, y = edges[e]
+        blocked = 0
+        for _, w in adj[x]:
+            blocked |= at[w]
+        for _, w in adj[y]:
+            blocked |= at[w]
+        free = 0
+        for c in L[e]:
+            free |= bit[c]
+        free &= ~blocked
+        if not free:
             raise InternalInvariant(f"peeled edge {e} has no available color at unwind")
-        pc.set(e, min(avail))
+        low = free & -free
+        at[x] |= low
+        at[y] |= low
+        assigned[e] = palette[low.bit_length() - 1]
+    del stack[split:]
+    while stack:
+        cycle = stack.pop()
+        extend = {4: extend_c4, 6: extend_c6}.get(len(cycle), extend_long_cycle)
+        extend(L, pc, cycle, b, stats)
     return pc
 
 

@@ -176,6 +176,25 @@ class TestPeelUnwindEquivalence:
                 peeled += stats.peeled_edges
         assert descriptors > 350 and peeled > 14000
 
+    def test_precolored_edges_block_as_in_the_reference(self):
+        # edges colored before the unwind, in or out of the lists, block
+        # their conflicts exactly as the frozen unwind reads them
+        rng = SplitMix64(16)
+        colored = 0
+        for _ in range(100):
+            b = self.piece(rng, 0)
+            m = b.graph.edge_count
+            L = {e: frozenset(rng.subset(8, 10)) for e in range(m)}
+            state = PeelState.for_graph(b)
+            peeled = list(sc.peel(b, state))
+            pre = {e: rng.below(12) for e in peeled if rng.below(3) == 0}
+            stack = [e for e in peeled if e not in pre]
+            want = _ref_greedy_unwind(list(stack), L, PartialColoring(pre), b, SolveStats())
+            got = sc.greedy_unwind(stack, L, PartialColoring(pre), b, SolveStats())
+            assert got.assigned == want.assigned and stack == []
+            colored += len(got.assigned) - len(pre)
+        assert colored > 450
+
 
 class TestPeelStep:
     def test_path_peels_completely(self):
@@ -229,6 +248,21 @@ class TestGreedyUnwind:
         L = dict.fromkeys(range(4), frozenset({1}))
         with pytest.raises(sc.InternalInvariant, match="has no available color at unwind"):
             sc.greedy_unwind(state.stack, L, PartialColoring(), b, SolveStats())
+
+    def test_cycle_above_peeled_edge_raises(self):
+        b = c4_gadget()
+        stack = [0, sc.shortest_cycle(b)]
+        with pytest.raises(sc.InternalInvariant, match="above a peeled edge"):
+            sc.greedy_unwind(stack, sc.uniform_lists(range(6), 6), PartialColoring(), b, SolveStats())
+
+    def test_colored_peeled_edge_rejected(self):
+        b = sc.infer_parts(sc.named("p5"))
+        state = PeelState.for_graph(b)
+        for _ in sc.peel(b, state):
+            pass
+        pc = PartialColoring({state.stack[0]: 1})
+        with pytest.raises(ValueError, match="already colored"):
+            sc.greedy_unwind(state.stack, sc.uniform_lists(range(4), 6), pc, b, SolveStats())
 
     def test_a_rule_edges_keep_two_colors(self):
         # an edge deferred at an A-endpoint of degree <= 1 has at most 4
