@@ -14,7 +14,6 @@ from .conflict import (
     available,
     build_conflict_graph,
     conflict_edges,
-    incidence_adjacent,
     uniform_lists,
     verify_incidence,
     verify_strong,
@@ -50,7 +49,7 @@ from .graph import (
     shortest_cycle,
     subdivide,
 )
-from .matching import hall_witness, max_matching, rainbow_sdr
+from .matching import max_matching, rainbow_sdr
 from .oracle import (
     OracleBudget,
     backtrack_color,

@@ -3,7 +3,7 @@
 Two edges conflict when they share an endpoint or when some third edge
 joins an endpoint of one to an endpoint of the other; a strong edge-coloring
 must give conflicting edges distinct colors.  Incidence adjacency is the
-analogous relation on (vertex, edge) pairs.
+analogous relation on (vertex, edge) pairs; ``verify_incidence`` states it.
 
 Verifiers return violations as data rather than raising, so they double as
 test assertions and as the CLI ``verify`` command.
@@ -160,18 +160,6 @@ def verify_strong(
             if e not in assigned:
                 out.append(Violation("uncolored", (e,), f"edge {e} has no color"))
     return out
-
-
-def incidence_adjacent(g: Multigraph, i1: Incidence, i2: Incidence) -> bool:
-    """Adjacency of two distinct incidences: same vertex, same edge, or the
-    edge joining their vertices is one of the two edges."""
-    if i1 == i2:
-        return False
-    v, e = i1
-    w, f = i2
-    if v == w or e == f:
-        return True
-    return set(g.endpoints(e)) == {v, w} or set(g.endpoints(f)) == {v, w}
 
 
 def verify_incidence(

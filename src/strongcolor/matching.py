@@ -13,17 +13,7 @@ finite color list.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
-
-from .errors import TooLarge
-
-_HALL_SCAN_LIMIT = 20
-
-
-def _check_items(items: Sequence[int]) -> None:
-    # a repeated item would silently collapse in the returned dict
-    if len(set(items)) != len(items):
-        raise ValueError("SDR items must be distinct")
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 
 def max_matching(left_count: int, right_count: int, adjacency: Sequence) -> Dict[int, int]:
@@ -60,7 +50,9 @@ def rainbow_sdr(
     Exists iff Hall's condition holds on the family of lists; computed as a
     maximum matching between items and colors.
     """
-    _check_items(items)
+    # a repeated item would silently collapse in the returned dict
+    if len(set(items)) != len(items):
+        raise ValueError("SDR items must be distinct")
     colors = sorted(set().union(*(lists[e] for e in items)))
     index = {c: j for j, c in enumerate(colors)}
     adjacency = [sorted(index[c] for c in lists[e]) for e in items]
@@ -68,25 +60,3 @@ def rainbow_sdr(
     if len(matching) < len(items):
         return None
     return {e: colors[matching[i]] for i, e in enumerate(items)}
-
-
-def hall_witness(
-    items: Sequence[int], lists: Mapping[int, Iterable[int]]
-) -> Optional[Tuple[int, ...]]:
-    """A subset S of items with |S| > |union of its lists|, or None.
-
-    Exponential scan in ascending bitmask order; None iff rainbow_sdr
-    succeeds.
-    """
-    _check_items(items)
-    n = len(items)
-    if n > _HALL_SCAN_LIMIT:
-        raise TooLarge(f"hall_witness limited to {_HALL_SCAN_LIMIT} items, got {n}")
-    for mask in range(1, 1 << n):
-        members = [items[i] for i in range(n) if mask >> i & 1]
-        union = set()
-        for e in members:
-            union.update(lists[e])
-        if len(members) > len(union):
-            return tuple(members)
-    return None

@@ -63,6 +63,42 @@ def brute_girth(g: sc.Multigraph):
     return best
 
 
+def incidence_adjacent(g: sc.Multigraph, i1: sc.Incidence, i2: sc.Incidence) -> bool:
+    """Adjacency of two distinct incidences, from the definition: same
+    vertex, same edge, or the edge joining their vertices is one of the two."""
+    if i1 == i2:
+        return False
+    v, e = i1
+    w, f = i2
+    if v == w or e == f:
+        return True
+    return set(g.endpoints(e)) == {v, w} or set(g.endpoints(f)) == {v, w}
+
+
+HALL_SCAN_LIMIT = 20
+
+
+def hall_witness(items, lists):
+    """A subset S of items with |S| > |union of its lists|, or None.
+
+    Exponential scan in ascending bitmask order; None iff Hall's condition
+    holds, that is, iff ``rainbow_sdr`` succeeds.
+    """
+    if len(set(items)) != len(items):
+        raise ValueError("SDR items must be distinct")
+    n = len(items)
+    if n > HALL_SCAN_LIMIT:
+        raise sc.TooLarge(f"hall_witness limited to {HALL_SCAN_LIMIT} items, got {n}")
+    for mask in range(1, 1 << n):
+        members = [items[i] for i in range(n) if mask >> i & 1]
+        union = set()
+        for e in members:
+            union.update(lists[e])
+        if len(members) > len(union):
+            return tuple(members)
+    return None
+
+
 def assert_valid_strong(b, L, pc, total=True):
     violations = sc.verify_strong(b, L, pc, require_total=total)
     assert violations == [], violations

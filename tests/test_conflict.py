@@ -5,7 +5,7 @@ import pytest
 import strongcolor as sc
 from strongcolor import Incidence, PartialColoring
 
-from conftest import brute_conflicts, rand_b23
+from conftest import brute_conflicts, incidence_adjacent, rand_b23
 from test_golden import _generalized_petersen
 
 
@@ -74,21 +74,21 @@ class TestIncidenceAdjacent:
         # edge 0 = vw, edge 1 = vu, edge 2 = wx  (v=0, w=1, u=2, x=3)
 
     def test_same_vertex(self):
-        assert sc.incidence_adjacent(self.g, Incidence(0, 0), Incidence(0, 1))
+        assert incidence_adjacent(self.g, Incidence(0, 0), Incidence(0, 1))
 
     def test_same_edge(self):
-        assert sc.incidence_adjacent(self.g, Incidence(0, 0), Incidence(1, 0))
+        assert incidence_adjacent(self.g, Incidence(0, 0), Incidence(1, 0))
 
     def test_joining_edge_is_one_of_the_two(self):
         # (v, vw) vs (w, wx): the edge vw joining the vertices is e itself
-        assert sc.incidence_adjacent(self.g, Incidence(0, 0), Incidence(1, 2))
+        assert incidence_adjacent(self.g, Incidence(0, 0), Incidence(1, 2))
 
     def test_third_edge_does_not_count(self):
         # (v, vu) vs (w, wx): vw exists but is neither e nor f
-        assert not sc.incidence_adjacent(self.g, Incidence(0, 1), Incidence(1, 2))
+        assert not incidence_adjacent(self.g, Incidence(0, 1), Incidence(1, 2))
 
     def test_not_reflexive(self):
-        assert not sc.incidence_adjacent(self.g, Incidence(0, 0), Incidence(0, 0))
+        assert not incidence_adjacent(self.g, Incidence(0, 0), Incidence(0, 0))
 
 
 class TestAvailable:
@@ -271,7 +271,7 @@ class TestVerifyIncidence:
         def brute_ok(coloring):
             for i1 in incs:
                 for i2 in incs:
-                    if i1 < i2 and sc.incidence_adjacent(g, i1, i2):
+                    if i1 < i2 and incidence_adjacent(g, i1, i2):
                         if coloring[i1] == coloring[i2]:
                             return False
             return True
@@ -306,7 +306,7 @@ class TestCorrespondence:
                     if i2 <= i1:
                         continue
                     e2 = sub.incidence_to_edge[i2]
-                    assert sc.incidence_adjacent(g, i1, i2) == (e2 in cg[e1])
+                    assert incidence_adjacent(g, i1, i2) == (e2 in cg[e1])
 
     def test_verifiers_agree_through_transport(self):
         g = sc.named("k4")

