@@ -41,10 +41,13 @@ Extension entry sizes are guaranteed by degree counting:
 The greedy phase reads colors from per-vertex bit masks over the ranked
 palette of the peeled edges' lists; ``greedy_unwind`` shows why that is
 exact.  A mask operation costs O(P / 30) machine words for P ranked
-colors, and a vertex's mask can be P bits wide, so the masks suit the
-narrow palettes of 6-lists: on subdivided ``random_cubic(2000, 7)`` with
-random 6-lists they beat a two-hop walk over the conflicting edges up to
-P = 1024, break even near P = 2048 and lose beyond.
+colors, and a vertex's mask can be P bits wide, so the masks suit narrow
+palettes.  Measured on subdivided ``random_cubic(n, 7)`` against a
+two-hop walk over the conflicting edges: with random 6-lists the masks
+are faster below P = 1024 and about even at P = 1024; at P = 16384 they
+are still faster at n = 2000 but slower at n = 20000; pairwise-disjoint
+lists (P = 6m) make the unwind several times slower and its masks take
+O(n P) bits.
 
 At entry to every extension and path procedure the available lists are
 truncated (smallest colors kept) to the exact sizes the counting steps
@@ -168,7 +171,7 @@ def greedy_unwind(
     b: BipartiteGraph,
     stats: SolveStats,
 ) -> PartialColoring:
-    """Empty the peel stack LIFO: first every peeled edge greedily, then every carved cycle.
+    """Empty the peel stack LIFO: the peeled edges greedily, then the carved cycles.
 
     ``color_strong_23`` carves before it peels, so its carved
     ``CycleDescriptor`` entries all lie below its peeled edge ids, and
