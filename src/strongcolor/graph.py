@@ -269,6 +269,68 @@ class CycleDescriptor:
         return len(self.vertices)
 
 
+def _carve_cycle(b: BipartiteGraph, s: int):
+    """A cycle with distinct pendant ends near ``s`` as (vertices, descents).
+
+    ``s`` must lie in an untouched (2,3)-biregular component.  A BFS from
+    ``s`` stops at its first non-tree edge uw; the tree paths from u and w
+    up to ``s`` last meet at some x, and the two paths below x plus uw
+    form a cycle through x (x = s unless s sits on a bridge).  While the
+    cycle C has length >= 6 and two of its B-vertices share a pendant end
+    p, the shorter arc between them closed through p replaces it.  p lies
+    off C, as both of its edges are pendants, so that is a cycle of length
+    at most |C|/2 + 2 < |C|: the descent ends, and ``descents`` counts its
+    steps.  The first shared end along the cycle is taken.
+    """
+    adj, part_of = b.graph.adj, b.part_of
+    parent = {s: -1}
+    queue = [s]
+    for u in queue:
+        pu = parent[u]
+        for _, w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+            elif w != pu:
+                break
+        else:
+            continue
+        break
+    else:
+        raise InternalInvariant(f"the component of vertex {s} has no cycle")
+    up_u = [u]
+    while up_u[-1] != s:
+        up_u.append(parent[up_u[-1]])
+    on_u = set(up_u)
+    up_w = [w]
+    while up_w[-1] not in on_u:
+        up_w.append(parent[up_w[-1]])
+    cyc = up_u[up_u.index(up_w[-1])::-1] + up_w[:-1]  # x ... u, w ... below x
+    descents = 0
+    while len(cyc) >= 6:
+        n = len(cyc)
+        owner = {}  # pendant end -> position of its B-vertex on the cycle
+        for i, v in enumerate(cyc):
+            if part_of[v] == PART_A:
+                continue
+            around = (cyc[i - 1], cyc[(i + 1) % n])
+            for _, p in adj[v]:
+                if p not in around:
+                    break
+            else:
+                continue
+            if p in owner:
+                j = owner[p]
+                break
+            owner[p] = i
+        else:
+            break
+        # the arcs j..i and i..j (wrapping) both end at the two owners of p
+        cyc = cyc[j:i + 1] + [p] if 2 * (i - j) <= n else cyc[i:] + cyc[:j + 1] + [p]
+        descents += 1
+    return tuple(cyc), descents
+
+
 def _cycle_through(start, nbrs, dist, parent, cap):
     """Shortest cycle through ``start`` as (length, positions), or None.
 

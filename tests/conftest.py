@@ -170,6 +170,25 @@ def disjoint_union(graphs) -> sc.BipartiteGraph:
     return sc.BipartiteGraph(sc.build_multigraph(len(part_of), pairs), part_of)
 
 
+def bridged_cubic(g1: sc.Multigraph, g2: sc.Multigraph, e1: int, e2: int) -> sc.Multigraph:
+    """A cubic multigraph with a bridge at its lowest vertex.
+
+    Edge e1 of g1 and edge e2 of g2 are each subdivided; the two new
+    vertices get ids 0 and 1 and are joined by the bridge.  g1's vertices
+    follow from 2, then g2's.
+    """
+    pairs = [(0, 1)]
+    off = 2
+    for g, e, mid in ((g1, e1, 0), (g2, e2, 1)):
+        for f, (u, v) in enumerate(g.edges):
+            if f == e:
+                pairs += [(u + off, mid), (mid, v + off)]
+            else:
+                pairs.append((u + off, v + off))
+        off += g.vertex_count
+    return sc.build_multigraph(off, pairs)
+
+
 def rand_b23(na: int, nb: int, seed: int) -> sc.BipartiteGraph:
     """random_23_bipartite with nb raised to meet the stub-capacity bound."""
     return sc.random_23_bipartite(na, max(nb, (2 * na + 2) // 3), seed)

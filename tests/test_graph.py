@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strongcolor as sc
 from strongcolor import (
@@ -8,9 +10,9 @@ from strongcolor import (
     NotTwoThree,
 )
 from strongcolor.generate import SplitMix64
-from strongcolor.graph import _descriptor_from_cycle, _residual_shortest_cycle
+from strongcolor.graph import _carve_cycle, _descriptor_from_cycle, _residual_shortest_cycle
 
-from conftest import brute_girth, disjoint_union, rand_b23
+from conftest import bridged_cubic, brute_girth, disjoint_union, rand_b23
 from test_golden import _generalized_petersen
 
 
@@ -427,3 +429,89 @@ class TestScanEquivalence:
             residue = _random_residue(b, rng)
             for comp in sc.components(b.graph):
                 _assert_scan_matches(residue, _permuted(comp, rng))
+
+
+# ---------------------------------------------------------------------------
+# the local carve from a component's lowest vertex
+
+
+def _cubic(rng):
+    return sc.random_cubic(4 + 2 * rng.below(14), rng.next_u64())
+
+
+def _carve_piece(rng):
+    """A subdivided cubic multigraph: random, GP(n, k), or two random ones
+    joined by a bridge at vertex 0."""
+    kind = rng.below(3)
+    if kind == 0:
+        g = _cubic(rng)
+    elif kind == 1:
+        n = 5 + rng.below(16)
+        g = _generalized_petersen(n, 1 + rng.below(n // 2 - 1))
+    else:
+        g1, g2 = _cubic(rng), _cubic(rng)
+        g = bridged_cubic(g1, g2, rng.below(g1.edge_count), rng.below(g2.edge_count))
+    return sc.subdivide(g).bipartite
+
+
+def _carve_draw(rng):
+    """One piece, or a disjoint union of two to four."""
+    if rng.below(2):
+        return _carve_piece(rng)
+    return disjoint_union([_carve_piece(rng) for _ in range(2 + rng.below(3))])
+
+
+def _assert_carves(b):
+    """Carve from each component's lowest vertex and check the cycle; returns the descents."""
+    g = b.graph
+    descents = 0
+    for comp in sc.components(g):
+        cyc, d = _carve_cycle(b, comp[0])
+        descents += d
+        n = len(cyc)
+        on = set(cyc)
+        assert n >= 4 and n % 2 == 0 and len(on) == n and on <= set(comp)
+        nbrs = [{w for _, w in g.adj[v]} for v in cyc]
+        for i, v in enumerate(cyc):
+            nxt = cyc[(i + 1) % n]
+            assert nxt in nbrs[i] and b.part(v) != b.part(nxt)
+            assert len(nbrs[i] & on) == 2  # no chord
+        if n >= 6:
+            ends = [w for v, ns in zip(cyc, nbrs) if b.part(v) == sc.PART_B for w in ns - on]
+            assert len(ends) == len(set(ends)) == n // 2
+        _descriptor_from_cycle(b, list(cyc))  # its own checks pass too
+    return descents
+
+
+class TestCarveCycle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**63))
+    def test_chordless_alternating_with_distinct_pendant_ends(self, seed):
+        _assert_carves(_carve_draw(SplitMix64(seed)))
+
+    def test_seeded_corpus_descends(self):
+        rng = SplitMix64(20261019)
+        descents = sum(_assert_carves(_carve_draw(rng)) for _ in range(600))
+        assert descents > 0
+
+    def test_start_on_no_cycle(self):
+        # the bridge's midpoint lies on no cycle: the carve closes one
+        # through the last common vertex of the two tree paths
+        rng = SplitMix64(5)
+        for _ in range(20):
+            g = bridged_cubic(_cubic(rng), _cubic(rng), 0, 0)
+            b = sc.subdivide(g).bipartite
+            mid = g.vertex_count  # edge 0 is the bridge
+            cyc, _ = _carve_cycle(b, mid)
+            assert mid not in cyc and len(cyc) >= 4
+            _assert_carves(b)
+
+    def test_girth_cycle_of_generalized_petersen(self):
+        b = sc.subdivide(_generalized_petersen(1000, 37)).bipartite
+        cyc, descents = _carve_cycle(b, 0)
+        assert len(cyc) == 16 and descents == 0
+
+    def test_forest_has_no_cycle(self):
+        b = sc.infer_parts(sc.named("p5"))
+        with pytest.raises(sc.InternalInvariant, match="has no cycle"):
+            _carve_cycle(b, 0)
