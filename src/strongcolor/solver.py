@@ -75,9 +75,8 @@ from .graph import (
     CycleDescriptor,
     Incidence,
     Multigraph,
+    _carve_cycle,
     _descriptor_from_cycle,
-    _residual_shortest_cycle,
-    components,
     subdivide,
 )
 from .matching import rainbow_sdr
@@ -93,6 +92,7 @@ class SolveStats:
     long_cycle_extensions: int = 0
     k23_base_cases: int = 0
     sdr_calls: int = 0
+    carve_descents: int = 0
 
     def merge(self, other: "SolveStats") -> None:
         for name in self.__dataclass_fields__:
@@ -724,21 +724,25 @@ def color_strong_23(
             raise ListTooSmall(f"edge {e} has a list of size {size}, need 6")
     stats = SolveStats()
     state = PeelState.for_graph(b)
-    qualifying = set(state.heap)  # carving one component leaves the others untouched
-    for comp in components(g):
-        if state.deg[comp[0]] and qualifying.isdisjoint(comp):
-            # biregular, so of minimum degree 2 and with a cycle: carve the
-            # girth cycle and its pendants once (module lemma)
-            _, cyc = _residual_shortest_cycle(b, comp)
-            desc = _descriptor_from_cycle(b, list(cyc))
+    deg = state.deg
+    stats.peeled_edges = sum(1 for _ in peel(b, state))
+    carved = []
+    for s in range(g.vertex_count):
+        if deg[s]:
+            # what a peel leaves is untouched biregular components (module
+            # lemma), and s is the lowest vertex of one: carve it once
+            cyc, descents = _carve_cycle(b, s)
+            stats.carve_descents += descents
+            desc = _descriptor_from_cycle(b, cyc)
             # every edge at a cycle vertex: the cycle and its pendants; the
             # heap pops the same vertices whatever the removal order
             for eid in {eid for v in desc.vertices for eid, _ in g.adj[v]}:
                 _remove_edge(b, state, eid)
-            state.stack.append(desc)
-    stats.peeled_edges = sum(1 for _ in peel(b, state))
-    if any(state.deg):
-        raise InternalInvariant(f"{sum(state.deg) // 2} edges are left after peeling")
+            carved.append(desc)
+            stats.peeled_edges += sum(1 for _ in peel(b, state))
+    if any(deg):
+        raise InternalInvariant(f"{sum(deg) // 2} edges are left after peeling")
+    state.stack[:0] = carved  # below every peeled edge, as greedy_unwind expects
     pc = greedy_unwind(state.stack, L, PartialColoring(), b, stats)
     bad = verify_strong(b, L, pc, require_total=True)
     if bad:

@@ -58,15 +58,16 @@ def test_golden_criterion3_corpus():
         chunks.append(fileio.coloring_to_text(coloring, "incidence"))
         total.merge(stats)
     assert _digest(chunks) == (
-        "6926c4110a214ee3cf899415d98fd2bd5992dcdb6d19d672398681ec6d709a81"
+        "55a33037f5ee6f914811a94c70f5e2090cd76dbe8467460b2f964d956e9b7d36"
     )
     assert total.as_dict() == {
-        "peeled_edges": 75798,
-        "c4_extensions": 318,
-        "c6_extensions": 133,
-        "long_cycle_extensions": 49,
+        "peeled_edges": 72960,
+        "c4_extensions": 68,
+        "c6_extensions": 89,
+        "long_cycle_extensions": 343,
         "k23_base_cases": 3,
-        "sdr_calls": 21,
+        "sdr_calls": 89,
+        "carve_descents": 2,
     }
 
 
@@ -74,15 +75,16 @@ def test_golden_criterion7_instance():
     g = sc.random_cubic(5000, 424242)
     coloring, stats = sc.color_incidence(g, sc.uniform_incidence_lists(g, 6))
     assert _digest([fileio.coloring_to_text(coloring, "incidence")]) == (
-        "354d66d6239da680928a6968e4799ab95b664a5548fd150be385f971e29fbb58"
+        "4c1dbcf8d6cdf0fdef2648310e03bc245e538ddb476286801c9d0ff3a69391c6"
     )
     assert stats.as_dict() == {
-        "peeled_edges": 14988,
+        "peeled_edges": 14967,
         "c4_extensions": 0,
         "c6_extensions": 0,
         "long_cycle_extensions": 1,
         "k23_base_cases": 0,
         "sdr_calls": 0,
+        "carve_descents": 0,
     }
 
 
@@ -98,15 +100,16 @@ def test_golden_extension_corpus():
     assert total.long_cycle_extensions >= 1
     assert total.sdr_calls >= 1
     assert _digest(chunks) == (
-        "3a5a48a8ac3e4e89cd32a48b89bc1993b033faaa4f6faa95e1c93ef89da087b4"
+        "4afc33560320f01f69f471d15661e0b0f2151272f949a23559ccf140404b357f"
     )
     assert total.as_dict() == {
-        "peeled_edges": 69999,
-        "c4_extensions": 552,
-        "c6_extensions": 269,
-        "long_cycle_extensions": 678,
+        "peeled_edges": 67200,
+        "c4_extensions": 238,
+        "c6_extensions": 261,
+        "long_cycle_extensions": 1000,
         "k23_base_cases": 5,
-        "sdr_calls": 303,
+        "sdr_calls": 477,
+        "carve_descents": 8,
     }
 
 

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import sys
 from heapq import heapify, heappop, heappush
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import strongcolor as sc
 from strongcolor import ListAssignment, PartialColoring, PeelState, SolveStats, oracle, solver
 from strongcolor.generate import SplitMix64
+from strongcolor.graph import components
 
 from conftest import (
     assert_valid_strong,
@@ -67,26 +69,30 @@ def _ref_greedy_unwind(stack, L, pc, b, stats):
 
 
 def _ref_solve(b, L):
-    """The solver's carve, peel and unwind from the frozen copies: (stack, pc, stats)."""
+    """The solver's peel, carves and unwind from the frozen copies: (stack, pc, stats)."""
     g = b.graph
     alive = [True] * g.edge_count
     deg = [g.degree(v) for v in range(g.vertex_count)]
     heap = [v for v in range(g.vertex_count) if _ref_qualifies(b, deg, v)]
     heapify(heap)
     stack = []
-    qualifying = set(heap)
-    for comp in sc.components(g):
-        if deg[comp[0]] and qualifying.isdisjoint(comp):
-            _, cyc = solver._residual_shortest_cycle(b, comp)
-            desc = solver._descriptor_from_cycle(b, list(cyc))
+    stats = SolveStats()
+    while _ref_peel_step(b, alive, deg, heap, stack) is not None:
+        stats.peeled_edges += 1
+    carved = []
+    for s in range(g.vertex_count):
+        if deg[s]:
+            cyc, descents = solver._carve_cycle(b, s)
+            stats.carve_descents += descents
+            desc = solver._descriptor_from_cycle(b, cyc)
             for v in desc.vertices:
                 for eid, _ in g.adj[v]:
                     if alive[eid]:
                         _ref_remove_edge(b, alive, deg, heap, eid)
-            stack.append(desc)
-    stats = SolveStats()
-    while _ref_peel_step(b, alive, deg, heap, stack) is not None:
-        stats.peeled_edges += 1
+            carved.append(desc)
+            while _ref_peel_step(b, alive, deg, heap, stack) is not None:
+                stats.peeled_edges += 1
+    stack[:0] = carved
     peeled = list(stack)
     pc = _ref_greedy_unwind(stack, L, PartialColoring(), b, stats)
     return peeled, pc, stats
@@ -561,36 +567,52 @@ class TestOneCarvePerBiregularComponent:
                 parts.append(sc.BipartiteGraph(sc.build_multigraph(k, []), ["A", "B", "A"][:k]))
         return disjoint_union(parts)
 
-    def test_one_scan_and_one_carve_each(self, monkeypatch):
-        scans = []
-        scan = solver._residual_shortest_cycle
+    def test_one_carve_each(self, monkeypatch):
+        carves = []
+        carve = solver._carve_cycle
 
         def counted(*args):
-            scans.append(args)
-            return scan(*args)
+            carves.append(args)
+            return carve(*args)
 
-        monkeypatch.setattr(solver, "_residual_shortest_cycle", counted)
+        def forbidden(*args):
+            raise AssertionError("the solve called a whole-graph pass")
+
+        monkeypatch.setattr(solver, "_carve_cycle", counted)
+        # rebind every alias, as a module may have imported the names
+        for name in ("_residual_shortest_cycle", "components"):
+            original = getattr(sc.graph, name)
+            for mod_name, module in list(sys.modules.items()):
+                if mod_name == "strongcolor" or mod_name.startswith("strongcolor."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, forbidden)
         rng = SplitMix64(20261018)
         biregular_total = peeled_components = 0
         for _ in range(150):
             b = self.union_draw(rng)
             g = b.graph
             biregular = peeled = 0
-            for comp in sc.components(g):
+            for comp in components(g):
                 if not g.adj[comp[0]]:
                     continue
                 full = all(g.degree(v) == (2 if b.part(v) == "A" else 3) for v in comp)
                 biregular += full
                 peeled += not full
             L = sc.random_lists(range(g.edge_count), 6, 8, rng.next_u64())
-            scans.clear()
+            carves.clear()
             _, stats = sc.color_strong_23(b, L)
-            carves = (stats.c4_extensions + stats.c6_extensions
-                      + stats.long_cycle_extensions + stats.k23_base_cases)
-            assert len(scans) == carves == biregular
+            extensions = (stats.c4_extensions + stats.c6_extensions
+                          + stats.long_cycle_extensions + stats.k23_base_cases)
+            assert len(carves) == extensions == biregular
+            assert [s for _, s in carves] == sorted(s for _, s in carves)
             biregular_total += biregular
             peeled_components += peeled
         assert biregular_total > 150 and peeled_components > 50
+        g = sc.random_cubic(40, 3)
+        carves.clear()
+        sc.color_incidence(g, sc.uniform_incidence_lists(g, 6))
+        assert len(carves) >= 1
 
 
 class TestColorIncidence:
