@@ -52,10 +52,6 @@ class Multigraph:
             raise BadEdgeId(f"edge {e} not in graph with {len(self.edges)} edges")
         return self.edges[e]
 
-    def other_endpoint(self, e: int, v: int) -> int:
-        u, w = self.endpoints(e)
-        return w if v == u else u
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

@@ -325,7 +325,8 @@ class TestCorrespondence:
 def _frozen_incidence_neighbors(g, inc):
     """The neighbour walk ``verify_incidence`` used before the vertex-clique pass."""
     v, e = inc
-    u = g.other_endpoint(e, v)
+    a, w = g.endpoints(e)
+    u = w if v == a else a
     out = set()
     for fid, x in g.adj[v]:
         if fid != e:
