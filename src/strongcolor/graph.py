@@ -373,6 +373,9 @@ def _cycle_through(start, nbrs, dist, parent, cap):
 def _residual_shortest_cycle(b: BipartiteGraph, vertex_order):
     """Shortest cycle among ``vertex_order`` as (length, vertices), or None.
 
+    Only ``shortest_cycle`` calls this; the solver carves with
+    ``_carve_cycle``, which needs no shortest cycle.
+
     The graph is scanned untouched, and ``vertex_order`` must be a union
     of its components, as a sequence.  Starts are scanned in that order;
     the first cycle achieving the minimum length wins.
@@ -502,6 +505,8 @@ def _descriptor_from_cycle(b: BipartiteGraph, cyc) -> CycleDescriptor:
                 raise InternalInvariant(f"pendant neighbor {w} of {v} lies on the cycle")
             pendant[v] = (w, eid)
     if n >= 6:
+        # unreachable: _carve_cycle descends until the ends are distinct, and
+        # on a shortest cycle a shared end would close a shorter one
         seen = {}
         for v, (w, _) in pendant.items():
             if w in seen:

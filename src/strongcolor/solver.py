@@ -1,11 +1,11 @@
 """Constructive strong list edge-coloring of (2,3)-bipartite graphs.
 
-The solver carves one shortest cycle out of each (2,3)-biregular
-component, peels away edges at low-degree vertices, and colors everything
-in reverse (LIFO) order.  Every cycle is carved before the peel starts,
-so the unwind runs in two phases: first each peeled edge greedily, then
-each carved cycle by a dedicated extension procedure driven by the
-current available lists.
+The solver peels away edges at low-degree vertices, carves one cycle out
+of each (2,3)-biregular component the peel leaves, and colors everything
+in reverse (LIFO) order.  The carved cycles go below every peeled edge on
+the stack, so the unwind runs in two phases: first each peeled edge
+greedily, then each carved cycle by a dedicated extension procedure
+driven by the current available lists.
 
 A vertex qualifies for peeling when its residual degree is positive but
 below full: at most 1 for an A-vertex, at most 2 for a B-vertex.
@@ -20,23 +20,47 @@ of its edges, yet one was removed.  So none of its edges is left.  Two
 consequences shape ``color_strong_23``:
 
 * a component with an edge and a vertex below full degree has a vertex
-  that qualifies from the start, so it peels completely and never
-  carves;
-* in a (2,3)-biregular component no vertex qualifies, so it carves
-  exactly once, its girth cycle on the untouched component, and then
-  peels completely.
+  that qualifies from the start, so the first peel removes all of it;
+* in a (2,3)-biregular component no vertex qualifies, so the first peel
+  leaves it untouched.  It is carved exactly once and then peels
+  completely.
 
-Extension entry sizes are guaranteed by degree counting:
+So after the first peel the vertices of positive degree are exactly the
+untouched biregular components, and scanning them in ascending order
+meets each component first at its lowest vertex, where it is carved.
+Components never interact, and each later peel pops only inside the
+component just carved, so a component's stack entries keep the order a
+solve of that component alone would give them.
 
-* a cycle edge of a carved shortest cycle sees at most one colored
-  conflict (through its single pendant's far end, an A-vertex of degree
-  at most 2), so at least 5 of its 6 list colors survive;
-* a pendant edge sees at most three (one at its far endpoint plus two
-  beyond), so at least 3 survive;
-* an edge peeled at an A-endpoint of degree <= 1 has at most 4 conflicts
-  in the residue at peel time, one peeled at a B-endpoint of degree <= 2
-  at most 5 - both below the list size 6, so the greedy unwind never runs
-  out of colors.
+The carve (``graph._carve_cycle``) returns a cycle C of an untouched
+biregular component, not necessarily a shortest one, whose B-vertices
+have pairwise distinct pendant ends when |C| >= 6.  A 4-cycle whose ends
+coincide is K_{2,3}, a whole component.  Otherwise four facts hold, and
+they are all the extensions and path procedures use:
+
+* C has no chord: an A-vertex on C has degree 2 and both of its edges lie
+  on C, and no edge joins two B-vertices;
+* each B-vertex v of C has one pendant edge vp, and p lies off C (vp is
+  no chord); p's other neighbour q, a B-vertex, lies off C too, or p
+  would be the pendant end of both v and q;
+* so a cycle edge sees exactly one edge outside the region of C and its
+  pendants, pq at the pendant of its B-end, and a pendant edge vp sees
+  the three edges at q; everything outside the region is colored first,
+  so at least 5 and 3 of the 6 list colors survive;
+* no edge outside the region meets two region edges (it would join two
+  vertices of C, a vertex of C and a pendant end, or two pendant ends,
+  and each is ruled out above), so the region's conflicts are exactly
+  the configuration's: the square of the cycle, plus each pendant at its
+  B-vertex.
+
+The carve descends while two B-vertices of C share a pendant end p: the
+shorter arc between them, closed through p, is a cycle of length at most
+|C|/2 + 2, which is less than |C| once |C| >= 6, so the descent ends.
+
+A peeled edge fares as well: one peeled at an A-endpoint of degree <= 1
+has at most 4 conflicts in the residue at peel time, one peeled at a
+B-endpoint of degree <= 2 at most 5, both below the list size 6, so the
+greedy unwind never runs out of colors.
 
 The greedy phase reads colors from per-vertex bit masks over the ranked
 palette of the peeled edges' lists; ``greedy_unwind`` shows why that is
@@ -173,8 +197,9 @@ def greedy_unwind(
 ) -> PartialColoring:
     """Empty the peel stack LIFO: the peeled edges greedily, then the carved cycles.
 
-    ``color_strong_23`` carves before it peels, so its carved
-    ``CycleDescriptor`` entries all lie below its peeled edge ids, and
+    ``color_strong_23`` puts its carved ``CycleDescriptor`` entries below
+    all of its peeled edge ids.  Components never interact, and within one
+    component every peeled edge was peeled after its cycle was carved, so
     popping the peeled edges first and the cycles after them is the LIFO
     order; a cycle above a peeled edge raises ``InternalInvariant``.  The
     peeled edges must be uncolored in ``pc`` on entry.
@@ -532,9 +557,10 @@ def extend_c4(
     b: BipartiteGraph,
     stats: SolveStats,
 ) -> PartialColoring:
-    """Color the six uncolored edges around a shortest 4-cycle u-v-w-x.
+    """Color the six uncolored edges around a carved 4-cycle u-v-w-x.
 
-    If the pendant neighbors of v and x coincide the component is exactly
+    If the pendant neighbors of v and x coincide, u, w and that neighbour
+    each have both of their edges at v and x, so the component is exactly
     K_{2,3}: all six lists are intact 6-lists and a rainbow choice always
     exists.  Otherwise the lists are cut to 3 on the pendants and 5 on the
     cycle edges, and one of two cases holds; neither can fail:
@@ -593,7 +619,7 @@ def extend_c6(
     b: BipartiteGraph,
     stats: SolveStats,
 ) -> PartialColoring:
-    """Color the nine uncolored edges around a shortest 6-cycle.
+    """Color the nine uncolored edges around a carved 6-cycle.
 
     The lists are cut to 3 on the pendants and 5 on the cycle edges ``ce``.
     The cycle edges conflict as the square of the 6-cycle, the octahedron
@@ -601,13 +627,11 @@ def extend_c6(
     in graphs", 1979).  The steps below make that concrete; none can fail,
     so there is no search:
 
-    * every vertex on a carved cycle keeps its full degree, so its edges
-      are cycle edges and pendants, and no edge outside the region joins
-      two cycle vertices;
-    * the three pendants pairwise do not conflict: their ends are distinct
-      (``_descriptor_from_cycle`` rejects coinciding ones), no edge stays
-      inside a part, and an edge from one pendant end to another pendant's
-      B-vertex would give that vertex a fourth edge.  So each pendant
+    * by the module's four facts the region's conflicts are the square of
+      the cycle plus each pendant at its B-vertex;
+    * the three pendants pairwise do not conflict: their B-vertices and
+      their ends are distinct, no edge stays inside a part, and the other
+      neighbour of a pendant end lies off the cycle.  So each pendant
       takes its smallest color;
     * each cycle edge conflicts with exactly two pendants, the one at its
       B-end and the one just past its A-end, so it keeps at least 3 of its
@@ -658,12 +682,23 @@ def extend_long_cycle(
     b: BipartiteGraph,
     stats: SolveStats,
 ) -> PartialColoring:
-    """Color the 3n/2 uncolored edges around a shortest cycle of length >= 8.
+    """Color the 3n/2 uncolored edges around a carved cycle of length >= 8.
 
     Three steps: precolor the first five-vertex stretch, totally color the
     odd pendant path around the rest of the cycle, then finish the two
-    middle edges of the stretch.  None of the steps can fail: the path
-    procedures are guaranteed to succeed at their entry sizes.
+    middle edges of the stretch.  None of the steps can fail.  By the
+    module's four facts the region's conflicts are exactly those of the
+    two configurations plus the edges that join them (the stretch's end
+    edges and pendants meet the odd path's ends), its pendants are
+    pairwise free of conflicts, and its entry sizes are 5 and 3.  So the
+    seed's edges enter the five-path at its sizes; what the seed colors
+    takes at most two colors from each end edge of the odd path, one
+    from each second edge and one from each end pendant, which are the
+    odd path's entry sizes 3, 4 and 2; and the odd path takes at most one
+    color from each middle edge of the stretch (vn-v1 from vw, v5-v6 from
+    wx), so ``precolor_five_path``'s 3 and 2 leave 2 and 1, and wx then
+    vw take their smallest colors.  The path procedures always succeed
+    at their entry sizes.
     """
     d, ce = cycle.vertices, cycle.edges
     n = len(d)
@@ -712,9 +747,10 @@ def color_strong_23(
     """Strong list edge-coloring of a simple (2,3)-bipartite graph.
 
     Every list must hold at least 6 colors; the result is total, uses each
-    edge's own list, and is deterministic for fixed input.  One peel pass
-    and one unwind serve all components: a component's pops depend only on
-    its own edges, and an edge is colored only against its own component.
+    edge's own list, and is deterministic for fixed input.  One peel, then
+    a carve and a peel per biregular component, and one unwind serve all
+    components: a component's pops depend only on its own edges, and an
+    edge is colored only against its own component.
     """
     b.validate_23()
     g = b.graph
