@@ -266,32 +266,33 @@ class CycleDescriptor:
 
 
 def _carve_cycle(b: BipartiteGraph, s: int):
-    """A cycle with distinct pendant ends near ``s`` as (vertices, descents).
+    """A cycle of ``s``'s component with distinct pendant ends, as (vertices, descents).
 
     ``s`` must lie in an untouched (2,3)-biregular component.  A BFS from
     ``s`` stops at its first non-tree edge uw; the tree paths from u and w
     up to ``s`` last meet at some x, and the two paths below x plus uw
-    form a cycle through x (x = s unless s sits on a bridge).  While the
-    cycle C has length >= 6 and two of its B-vertices share a pendant end
-    p, the shorter arc between them closed through p replaces it.  p lies
-    off C, as both of its edges are pendants, so that is a cycle of length
-    at most |C|/2 + 2 < |C|: the descent ends, and ``descents`` counts its
-    steps.  The first shared end along the cycle is taken.
+    form a cycle through x.  x need not be ``s``, so an ``s`` on a bridge
+    is fine.  While the cycle C has length >= 6 and two of its B-vertices
+    share a pendant end p, the shorter arc between them closed through p
+    replaces it.  p lies off C, as both of its edges are pendants, so that
+    is a cycle of length at most |C|/2 + 2 < |C|: the descent ends, and
+    ``descents`` counts its steps.  The first shared end along the cycle
+    is taken.
     """
     adj, part_of = b.graph.adj, b.part_of
     parent = {s: -1}
     queue = [s]
+    closed = False
     for u in queue:
-        pu = parent[u]
         for _, w in adj[u]:
             if w not in parent:
                 parent[w] = u
                 queue.append(w)
-            elif w != pu:
+            elif w != parent[u]:
+                closed = True
                 break
-        else:
-            continue
-        break
+        if closed:
+            break
     else:
         raise InternalInvariant(f"the component of vertex {s} has no cycle")
     up_u = [u]
@@ -307,18 +308,12 @@ def _carve_cycle(b: BipartiteGraph, s: int):
         n = len(cyc)
         owner = {}  # pendant end -> position of its B-vertex on the cycle
         for i, v in enumerate(cyc):
-            if part_of[v] == PART_A:
-                continue
-            around = (cyc[i - 1], cyc[(i + 1) % n])
-            for _, p in adj[v]:
-                if p not in around:
+            if part_of[v] == PART_B:
+                around = (cyc[i - 1], cyc[(i + 1) % n])
+                p = next(x for _, x in adj[v] if x not in around)
+                j = owner.setdefault(p, i)
+                if j != i:
                     break
-            else:
-                continue
-            if p in owner:
-                j = owner[p]
-                break
-            owner[p] = i
         else:
             break
         # the arcs j..i and i..j (wrapping) both end at the two owners of p

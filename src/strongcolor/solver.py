@@ -47,10 +47,11 @@ they are all the extensions and path procedures use:
   pendants, pq at the pendant of its B-end, and a pendant edge vp sees
   the three edges at q; everything outside the region is colored first,
   so at least 5 and 3 of the 6 list colors survive;
-* no edge outside the region meets two region edges (it would join two
-  vertices of C, a vertex of C and a pendant end, or two pendant ends,
-  and each is ruled out above), so the region's conflicts are exactly
-  the configuration's: the square of the cycle, plus each pendant at its
+* no edge outside the region meets two region edges: it has no end on
+  C, as every edge at a vertex of C is in the region; a pendant end has
+  one region edge, as the ends are distinct; and two pendant ends are
+  A-vertices, never adjacent.  So the region's conflicts are exactly the
+  configuration's: the square of the cycle, plus each pendant at its
   B-vertex.
 
 The carve descends while two B-vertices of C share a pendant end p: the
