@@ -32,7 +32,6 @@ from .errors import (
     LoopEdge,
     NotBipartite,
     NotTwoThree,
-    TooLarge,
     UnknownName,
 )
 from .graph import (

@@ -58,6 +58,8 @@ def _uniform_colors(text: str) -> int:
         k = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"K must be an integer, got {text!r}") from None
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"K must be at least 0, got {k}")
     if k > MAX_UNIFORM_COLORS:
         raise argparse.ArgumentTypeError(f"K must be at most {MAX_UNIFORM_COLORS}, got {k}")
     return k
@@ -237,7 +239,7 @@ def _cmd_stress(args) -> int:
         f"instances={args.count} ok={ok} rate={rate:.1f}% "
         f"peeled={stats.peeled_edges} c4={stats.c4_extensions} c6={stats.c6_extensions} "
         f"long={stats.long_cycle_extensions} k23={stats.k23_base_cases} "
-        f"sdr={stats.sdr_calls} wall={wall:.2f}s"
+        f"sdr={stats.sdr_calls} descents={stats.carve_descents} wall={wall:.2f}s"
     )
     sys.stdout.write(line + "\n")
     return EXIT_OK if ok == args.count else EXIT_INVALID
@@ -258,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lists", help="lists file")
     group.add_argument("--uniform", type=_uniform_colors, metavar="K",
-                       help=f"identical lists {{1..K}}, K <= {MAX_UNIFORM_COLORS}")
+                       help=f"identical lists {{1..K}}, 0 <= K <= {MAX_UNIFORM_COLORS}")
     p.add_argument("--mode", choices=("strong", "incidence"), default="strong")
     p.add_argument("--out", default="-")
     p.add_argument("--stats", action="store_true", help="print solve counters as JSON to stderr")

@@ -51,10 +51,6 @@ class UnknownName(InputError):
     """Unknown fixture name."""
 
 
-class TooLarge(InputError):
-    """Instance too large for an exponential-scan diagnostic."""
-
-
 class FormatError(InputError):
     """A file does not parse as the expected document."""
 

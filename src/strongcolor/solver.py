@@ -2,10 +2,11 @@
 
 The solver peels away edges at low-degree vertices, carves one cycle out
 of each (2,3)-biregular component the peel leaves, and colors everything
-in reverse (LIFO) order.  The carved cycles go below every peeled edge on
-the stack, so the unwind runs in two phases: first each peeled edge
-greedily, then each carved cycle by a dedicated extension procedure
-driven by the current available lists.
+in reverse order of removal.  A component's cycle is carved before the
+rest of it is peeled, and components never interact, so the unwind runs
+in two phases over two lists: first each peeled edge greedily, last
+peeled first, then each carved cycle, last carved first, by a dedicated
+extension procedure driven by the current available lists.
 
 A vertex qualifies for peeling when its residual degree is positive but
 below full: at most 1 for an A-vertex, at most 2 for a B-vertex.
@@ -29,8 +30,8 @@ So after the first peel the vertices of positive degree are exactly the
 untouched biregular components, and scanning them in ascending order
 meets each component first at its lowest vertex, where it is carved.
 Components never interact, and each later peel pops only inside the
-component just carved, so a component's stack entries keep the order a
-solve of that component alone would give them.
+component just carved, so a component's peeled edges and its cycle keep
+the order a solve of that component alone would give them.
 
 The carve (``graph._carve_cycle``) returns a cycle C of an untouched
 biregular component, not necessarily a shortest one, whose B-vertices
@@ -133,7 +134,7 @@ class SolveStats:
 
 @dataclass
 class PeelState:
-    """Residual subgraph plus the deferred-edge stack for peeling.
+    """Residual subgraph for peeling.
 
     ``cap[v]`` is the largest residual degree at which v qualifies: 1 for
     an A-vertex, 2 for a B-vertex.  A vertex qualifies when
@@ -144,14 +145,13 @@ class PeelState:
     deg: list
     cap: list
     heap: list
-    stack: list
 
     @staticmethod
     def for_graph(b: BipartiteGraph) -> "PeelState":
         deg = list(map(len, b.graph.adj))
         cap = [1 if p == PART_A else 2 for p in b.part_of]
         heap = [v for v, d in enumerate(deg) if 0 < d <= cap[v]]  # ascending, so a heap
-        return PeelState([True] * b.graph.edge_count, deg, cap, heap, [])
+        return PeelState([True] * b.graph.edge_count, deg, cap, heap)
 
 
 def _remove_edge(b: BipartiteGraph, state: PeelState, e: int) -> None:
@@ -163,7 +163,7 @@ def _remove_edge(b: BipartiteGraph, state: PeelState, e: int) -> None:
 
 
 def peel(b: BipartiteGraph, state: PeelState) -> Iterator[int]:
-    """Remove, stack and yield deferrable edges until the (2,3)-regular core is left.
+    """Remove and yield deferrable edges until the (2,3)-regular core is left.
 
     An edge is deferrable when its A-endpoint has residual degree <= 1 or
     its B-endpoint degree <= 2; the lowest qualifying vertex and then the
@@ -171,7 +171,7 @@ def peel(b: BipartiteGraph, state: PeelState) -> Iterator[int]:
     out in the loop.
     """
     adj, edges = b.graph.adj, b.graph.edges
-    alive, deg, cap, heap, stack = state.alive, state.deg, state.cap, state.heap, state.stack
+    alive, deg, cap, heap = state.alive, state.deg, state.cap, state.heap
     m = len(alive)
     while heap:
         v = heappop(heap)
@@ -185,29 +185,27 @@ def peel(b: BipartiteGraph, state: PeelState) -> Iterator[int]:
                 deg[w] -= 1
                 if 0 < deg[w] <= cap[w]:
                     heappush(heap, w)
-            stack.append(e)
             yield e
 
 
 def greedy_unwind(
-    stack: list,
+    peeled: Sequence[int],
+    carved: Sequence[CycleDescriptor],
     L: ListAssignment,
-    pc: PartialColoring,
     b: BipartiteGraph,
     stats: SolveStats,
 ) -> PartialColoring:
-    """Empty the peel stack LIFO: the peeled edges greedily, then the carved cycles.
+    """Color the peeled edges greedily, last first, then the carved cycles, last first.
 
-    ``color_strong_23`` puts its carved ``CycleDescriptor`` entries below
-    all of its peeled edge ids.  Components never interact, and within one
-    component every peeled edge was peeled after its cycle was carved, so
-    popping the peeled edges first and the cycles after them is the LIFO
-    order; a cycle above a peeled edge raises ``InternalInvariant``.  The
-    peeled edges must be uncolored in ``pc`` on entry.
+    ``peeled`` lists the edge ids in the order ``peel`` removed them and
+    ``carved`` the cycles in the order they were carved; the result is a
+    new coloring.  Components never interact, and within one component
+    every peeled edge was peeled after its cycle was carved, so coloring
+    all peeled edges before all cycles is the reverse order of removal.
 
     A peeled edge takes its smallest available color: sound because every
     peeled edge had at most 5 conflicts in the residual subgraph it was
-    peeled from, and only those edges are colored when it is popped.  The
+    peeled from, and only those edges are colored when it is reached.  The
     colors are read from per-vertex masks.  The P colors of the peeled
     edges' lists are ranked in ascending order, and bit i of ``at[v]`` is
     set when an edge at v holds the color of rank i.  An edge f conflicts
@@ -220,26 +218,15 @@ def greedy_unwind(
     and ``at`` holds up to P bits per vertex.
 
     A carved cycle then goes to the extension for its length, which reads
-    ``pc`` through ``available``.
+    the coloring through ``available``.
     """
-    split = 0  # the carved cycles are stack[:split]
-    while split < len(stack) and isinstance(stack[split], CycleDescriptor):
-        split += 1
-    peeled = stack[split:]
-    if CycleDescriptor in map(type, peeled):
-        raise InternalInvariant("a carved cycle lies above a peeled edge on the stack")
+    pc = PartialColoring()
     assigned = pc.assigned
-    if assigned and not assigned.keys().isdisjoint(peeled):
-        raise ValueError("a peeled edge is already colored")
     adj, edges = b.graph.adj, b.graph.edges
     palette = sorted(set().union(*map(L.__getitem__, peeled)))
     size = len(palette)  # above every rank
     rank = {c: i for i, c in enumerate(palette)}
     at = [0] * b.graph.vertex_count
-    for f, c in assigned.items():
-        if c in rank:  # a color outside every peeled list blocks nothing
-            for v in edges[f]:
-                at[v] |= 1 << rank[c]
     for e in reversed(peeled):
         x, y = edges[e]
         blocked = 0
@@ -258,9 +245,7 @@ def greedy_unwind(
         at[x] |= low
         at[y] |= low
         assigned[e] = palette[top]
-    del stack[split:]
-    while stack:
-        cycle = stack.pop()
+    for cycle in reversed(carved):
         extend = {4: extend_c4, 6: extend_c6}.get(len(cycle), extend_long_cycle)
         extend(L, pc, cycle, b, stats)
     return pc
@@ -331,22 +316,12 @@ def precolor_five_path(
     uv, vw, wx, xy, vz, xt = cfg.edges
     avail = region.avail
 
-    pend_common = region.common(vz, xt)
-    if pend_common:
-        # same color on both pendants costs each middle edge one color
-        alpha = min(pend_common)
-        region.assign(vz, alpha)
-        region.assign(xt, alpha)
-        pend_left = None
-    else:
+    # a color shared by both pendants costs each middle edge one color
+    pend_left = None
+    if not region.assign_shared(vz, xt):
         # pendant lists disjoint: their union has 6 colors, one avoids vw
         pend_left = _color_outside(region, vz, xt, vw)
-    end_common = region.common(uv, xy)
-    if end_common:
-        beta = min(end_common)
-        region.assign(uv, beta)
-        region.assign(xy, beta)
-    else:
+    if not region.assign_shared(uv, xy):
         # disjoint 4-lists: their union beats |L(vw)|, so one end edge
         # can be colored without touching vw at all
         end_left = _color_outside(region, uv, xy, vw)
@@ -432,17 +407,9 @@ def _odd_base(region: _Region, cfg: OddPathConfig, i: int, stats) -> None:
     p1, p2 = cfg.pendant_edges[i // 2:]
     left, right = (a1, p1), (a2, p2)
     for x, y in _BASE_ORDERS["A" if i == 0 else "B"]:
-        shared = region.common(left[x], right[y])
-        if shared:
-            alpha = min(shared)
-            region.assign(left[x], alpha)
-            region.assign(right[y], alpha)
+        if region.assign_shared(left[x], right[y]):
             o1, o2 = left[1 - x], right[1 - y]
-            shared2 = region.common(o1, o2)
-            if shared2:
-                beta = min(shared2)
-                region.assign(o1, beta)
-                region.assign(o2, beta)
+            if region.assign_shared(o1, o2):
                 region.assign_min(m1)
                 region.assign_min(m2)
             else:
@@ -525,8 +492,15 @@ class _Region:
             raise InternalInvariant(f"edge {e} ran out of colors in a greedy step")
         self.assign(e, min(cur))
 
-    def common(self, e: int, f: int) -> set:
-        return self.avail[e] & self.avail[f]
+    def assign_shared(self, e: int, f: int) -> bool:
+        """Give e and f their smallest shared color; False, assigning nothing, if none."""
+        shared = self.avail[e] & self.avail[f]
+        if not shared:
+            return False
+        color = min(shared)
+        self.assign(e, color)
+        self.assign(f, color)
+        return True
 
     def sdr(self, edge_ids: Sequence[int], stats: SolveStats) -> None:
         stats.sdr_calls += 1
@@ -566,14 +540,15 @@ def extend_c4(
     exists.  Otherwise the lists are cut to 3 on the pendants and 5 on the
     cycle edges, and one of two cases holds; neither can fail:
 
-    * the two pendant lists jointly hold 6 colors: Hall's condition holds
-      for all six edges (a set of at most 5 edges with a cycle edge has
-      its 5 colors, a set of pendants alone has 3, and all six together
-      see the pendants' 6), so a rainbow choice exists;
-    * otherwise the two 3-lists share a color, given to both pendants.
-      That one color costs each cycle edge at most one of its 5, and the
-      four cycle edges pairwise conflict, so greedy leaves them at least
-      4, 3, 2 and 1 colors in turn.
+    * the two 3-lists share a color, and the smallest one goes to both
+      pendants.  That one color costs each cycle edge at most one of its
+      5, and the four cycle edges pairwise conflict, so greedy leaves them
+      at least 4, 3, 2 and 1 colors in turn;
+    * otherwise the two pendant lists are disjoint and jointly hold 6
+      colors: Hall's condition holds for all six edges (a set of at most 5
+      edges with a cycle edge has its 5 colors, a set of pendants alone
+      has 3, and all six together see the pendants' 6), so a rainbow
+      choice exists.
     """
     u, v, w, x = cycle.vertices
     e_uv, e_vw, e_wx, e_xu = cycle.edges
@@ -597,15 +572,11 @@ def extend_c4(
         region.truncate(e, 3)
     for e in (e_uv, e_vw, e_wx, e_xu):
         region.truncate(e, 5)
-    if len(region.avail[e_vp] | region.avail[e_xp]) >= 6:
-        region.sdr(edge_ids, stats)
-    else:
-        # |union| <= 5 with two 3-lists forces a shared color
-        alpha = min(region.avail[e_vp] & region.avail[e_xp])
-        region.assign(e_vp, alpha)
-        region.assign(e_xp, alpha)
+    if region.assign_shared(e_vp, e_xp):
         for e in (e_uv, e_vw, e_wx, e_xu):
             region.assign_min(e)
+    else:
+        region.sdr(edge_ids, stats)
     return pc
 
 
@@ -661,11 +632,7 @@ def extend_c6(
     for e in pendants:
         region.assign_min(e)
     for i in range(3):
-        shared = region.common(ce[i], ce[i + 3])
-        if shared:
-            alpha = min(shared)
-            region.assign(ce[i], alpha)
-            region.assign(ce[i + 3], alpha)
+        region.assign_shared(ce[i], ce[i + 3])
     left = [e for e in ce if e in region.avail]
     if left:
         region.sdr(left, stats)
@@ -762,7 +729,7 @@ def color_strong_23(
     stats = SolveStats()
     state = PeelState.for_graph(b)
     deg = state.deg
-    stats.peeled_edges = sum(1 for _ in peel(b, state))
+    peeled = list(peel(b, state))
     carved = []
     for s in range(g.vertex_count):
         if deg[s]:
@@ -776,11 +743,11 @@ def color_strong_23(
             for eid in {eid for v in desc.vertices for eid, _ in g.adj[v]}:
                 _remove_edge(b, state, eid)
             carved.append(desc)
-            stats.peeled_edges += sum(1 for _ in peel(b, state))
+            peeled += peel(b, state)
     if any(deg):
         raise InternalInvariant(f"{sum(deg) // 2} edges are left after peeling")
-    state.stack[:0] = carved  # below every peeled edge, as greedy_unwind expects
-    pc = greedy_unwind(state.stack, L, PartialColoring(), b, stats)
+    stats.peeled_edges = len(peeled)
+    pc = greedy_unwind(peeled, carved, L, b, stats)
     bad = verify_strong(b, L, pc, require_total=True)
     if bad:
         raise InternalInvariant(f"solver produced an invalid coloring: {bad[:3]}")

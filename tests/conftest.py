@@ -78,6 +78,10 @@ def incidence_adjacent(g: sc.Multigraph, i1: sc.Incidence, i2: sc.Incidence) -> 
 HALL_SCAN_LIMIT = 20
 
 
+class HallScanTooLarge(Exception):
+    """More items than ``hall_witness`` scans."""
+
+
 def hall_witness(items, lists):
     """A subset S of items with |S| > |union of its lists|, or None.
 
@@ -88,7 +92,7 @@ def hall_witness(items, lists):
         raise ValueError("SDR items must be distinct")
     n = len(items)
     if n > HALL_SCAN_LIMIT:
-        raise sc.TooLarge(f"hall_witness limited to {HALL_SCAN_LIMIT} items, got {n}")
+        raise HallScanTooLarge(f"hall_witness limited to {HALL_SCAN_LIMIT} items, got {n}")
     for mask in range(1, 1 << n):
         members = [items[i] for i in range(n) if mask >> i & 1]
         union = set()

@@ -512,6 +512,20 @@ class TestCliStress:
         assert cli.main(["stress", "--count", "0"]) == 0
         assert "instances=0 ok=0 rate=100.0% " in capsys.readouterr().out
 
+    def test_summary_reports_carve_descents(self, monkeypatch, capsys):
+        solve, descents = cli.color_strong_23, []
+
+        def recorded(b, L):
+            pc, stats = solve(b, L)
+            descents.append(stats.carve_descents)
+            return pc, stats
+
+        monkeypatch.setattr(cli, "color_strong_23", recorded)
+        argv = ["stress", "--count", "30", "--seed", "5", "--size", "20", "--family", "cubic"]
+        assert cli.main(argv) == 0
+        assert sum(descents) > 0
+        assert f" descents={sum(descents)} wall=" in capsys.readouterr().out
+
     def test_cubic_family(self):
         r = run_cli("stress", "--count", 20, "--seed", 3, "--size", 10, "--family", "cubic")
         assert r.returncode == 0, r.stdout + r.stderr
@@ -725,6 +739,12 @@ class TestSizeCaps:
         assert f"at most {cli.MAX_UNIFORM_COLORS}" in capsys.readouterr().err
         with pytest.raises(_Allocated):
             cli.main(argv + [str(cli.MAX_UNIFORM_COLORS)])
+
+    @pytest.mark.parametrize("command", ["color", "oracle"])
+    def test_negative_uniform_rejected(self, monkeypatch, capsys, k23_file, command):
+        monkeypatch.setattr(cli, "uniform_lists", _refuse)
+        assert cli.main([command, str(k23_file), "--uniform", "-3"]) == 2
+        assert "K must be at least 0, got -3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family, sizes", [
         ("cubic", ["--n", fileio.MAX_VERTEX_COUNT]),

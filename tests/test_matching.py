@@ -3,7 +3,7 @@ import pytest
 import strongcolor as sc
 from strongcolor.generate import SplitMix64
 
-from conftest import hall_witness
+from conftest import HallScanTooLarge, hall_witness
 
 
 class TestMaxMatching:
@@ -58,7 +58,7 @@ class TestHallWitness:
         assert hall_witness([0, 1, 2], {e: {1, 2} for e in range(3)}) == (0, 1, 2)
 
     def test_too_large(self):
-        with pytest.raises(sc.TooLarge):
+        with pytest.raises(HallScanTooLarge):
             hall_witness(list(range(21)), {e: {e} for e in range(21)})
 
 

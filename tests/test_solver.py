@@ -154,9 +154,9 @@ class TestPeelUnwindEquivalence:
         unwound = []
         unwind = solver.greedy_unwind
 
-        def recorded(stack, *args):
-            unwound.append(list(stack))
-            return unwind(stack, *args)
+        def recorded(peeled, carved, *args):
+            unwound.append(carved + peeled)
+            return unwind(peeled, carved, *args)
 
         monkeypatch.setattr(solver, "greedy_unwind", recorded)
         rng = SplitMix64(20261018)
@@ -182,25 +182,6 @@ class TestPeelUnwindEquivalence:
                 peeled += stats.peeled_edges
         assert descriptors > 350 and peeled > 14000
 
-    def test_precolored_edges_block_as_in_the_reference(self):
-        # edges colored before the unwind, in or out of the lists, block
-        # their conflicts exactly as the frozen unwind reads them
-        rng = SplitMix64(16)
-        colored = 0
-        for _ in range(100):
-            b = self.piece(rng, 0)
-            m = b.graph.edge_count
-            L = {e: frozenset(rng.subset(8, 10)) for e in range(m)}
-            state = PeelState.for_graph(b)
-            peeled = list(sc.peel(b, state))
-            pre = {e: rng.below(12) for e in peeled if rng.below(3) == 0}
-            stack = [e for e in peeled if e not in pre]
-            want = _ref_greedy_unwind(list(stack), L, PartialColoring(pre), b, SolveStats())
-            got = sc.greedy_unwind(stack, L, PartialColoring(pre), b, SolveStats())
-            assert got.assigned == want.assigned and stack == []
-            colored += len(got.assigned) - len(pre)
-        assert colored > 450
-
 
 class TestPeelStep:
     def test_path_peels_completely(self):
@@ -208,7 +189,7 @@ class TestPeelStep:
         state = PeelState.for_graph(b)
         peeled = list(sc.peel(b, state))
         assert sorted(peeled) == list(range(4))
-        assert state.stack == peeled
+        assert not any(state.alive)
 
     def test_even_cycle_peels_completely(self):
         b = sc.infer_parts(sc.named("c8"))
@@ -230,45 +211,24 @@ class TestGreedyUnwind:
     def test_path_smallest_colors(self):
         b = sc.infer_parts(sc.named("p5"))
         L = sc.uniform_lists(range(4), 6)
-        state = PeelState.for_graph(b)
-        for _ in sc.peel(b, state):
-            pass
-        pc = sc.greedy_unwind(state.stack, L, PartialColoring(), b, SolveStats())
+        peeled = list(sc.peel(b, PeelState.for_graph(b)))
+        pc = sc.greedy_unwind(peeled, [], L, b, SolveStats())
         assert_valid_strong(b, L, pc)
         assert min(pc.assigned.values()) == 1
 
     def test_subdivided_star(self):
         b = sc.subdivide(sc.named("star")).bipartite
         L = sc.uniform_lists(range(b.graph.edge_count), 6)
-        state = PeelState.for_graph(b)
-        for _ in sc.peel(b, state):
-            pass
-        pc = sc.greedy_unwind(state.stack, L, PartialColoring(), b, SolveStats())
+        peeled = list(sc.peel(b, PeelState.for_graph(b)))
+        pc = sc.greedy_unwind(peeled, [], L, b, SolveStats())
         assert_valid_strong(b, L, pc)
 
     def test_exhausted_list_raises(self):
         b = sc.infer_parts(sc.named("p5"))
-        state = PeelState.for_graph(b)
-        for _ in sc.peel(b, state):
-            pass
+        peeled = list(sc.peel(b, PeelState.for_graph(b)))
         L = dict.fromkeys(range(4), frozenset({1}))
         with pytest.raises(sc.InternalInvariant, match="has no available color at unwind"):
-            sc.greedy_unwind(state.stack, L, PartialColoring(), b, SolveStats())
-
-    def test_cycle_above_peeled_edge_raises(self):
-        b = c4_gadget()
-        stack = [0, sc.shortest_cycle(b)]
-        with pytest.raises(sc.InternalInvariant, match="above a peeled edge"):
-            sc.greedy_unwind(stack, sc.uniform_lists(range(6), 6), PartialColoring(), b, SolveStats())
-
-    def test_colored_peeled_edge_rejected(self):
-        b = sc.infer_parts(sc.named("p5"))
-        state = PeelState.for_graph(b)
-        for _ in sc.peel(b, state):
-            pass
-        pc = PartialColoring({state.stack[0]: 1})
-        with pytest.raises(ValueError, match="already colored"):
-            sc.greedy_unwind(state.stack, sc.uniform_lists(range(4), 6), pc, b, SolveStats())
+            sc.greedy_unwind(peeled, [], L, b, SolveStats())
 
     def test_a_rule_edges_keep_two_colors(self):
         # an edge deferred at an A-endpoint of degree <= 1 has at most 4
@@ -282,6 +242,7 @@ class TestGreedyUnwind:
             L = sc.uniform_lists(range(m), 6)
             state = PeelState.for_graph(b)
             it = sc.peel(b, state)
+            peeled = []
             rules = {}
             while True:
                 qualifying = [
@@ -293,10 +254,10 @@ class TestGreedyUnwind:
                 e = next(it, None)
                 if e is None:
                     break
+                peeled.append(e)
                 rules[e] = b.part_of[min(qualifying)]
             pc = PartialColoring()
-            while state.stack:
-                e = state.stack.pop()
+            for e in reversed(peeled):
                 avail = sc.available(e, L, pc, b)
                 if rules[e] == "A":
                     assert len(avail) >= 2
@@ -304,6 +265,29 @@ class TestGreedyUnwind:
                     assert len(avail) >= 1
                 pc.set(e, min(avail))
             assert_valid_strong(b, L, pc, total=(len(pc.assigned) == m))
+
+
+class TestAssignShared:
+    # p5 is 0-1-2-3-4; its end edges 0 and 3 do not conflict
+    @staticmethod
+    def region(first, last):
+        b = sc.infer_parts(sc.named("p5"))
+        L = {0: frozenset(first), 1: frozenset(range(1, 8)), 2: frozenset(range(1, 8)),
+             3: frozenset(last)}
+        return solver._Region(L, PartialColoring(), b, range(4))
+
+    def test_smallest_common_color_to_both(self):
+        region = self.region({2, 4, 6, 7}, {3, 4, 6, 7})
+        assert region.assign_shared(0, 3) is True
+        assert region.pc.assigned == {0: 4, 3: 4}
+        assert region.avail == {1: set(range(1, 8)) - {4}, 2: set(range(1, 8)) - {4}}
+
+    def test_disjoint_lists_assign_nothing(self):
+        region = self.region({1, 2, 3}, {4, 5, 6})
+        before = {e: set(cs) for e, cs in region.avail.items()}
+        assert region.assign_shared(0, 3) is False
+        assert region.pc.assigned == {}
+        assert region.avail == before
 
 
 def _c6_lists(b, by_role):
