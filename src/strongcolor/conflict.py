@@ -12,13 +12,14 @@ test assertions and as the CLI ``verify`` command.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Collection, Dict, Iterable, Mapping, Optional
 
 from .graph import BipartiteGraph, Incidence, Multigraph
 
 
 # A list assignment L maps each edge id (or incidence) to its frozenset of
-# colors L(e); colors are non-negative integers.
+# colors L(e); colors are non-negative integers.  Equal lists may be one
+# shared frozenset, so a list is never mutated in place.
 ListAssignment = dict
 
 
@@ -165,7 +166,7 @@ def verify_strong(
 def verify_incidence(
     g: Multigraph,
     coloring: Mapping[Incidence, int],
-    L: Optional[Mapping[Incidence, Iterable[int]]] = None,
+    L: Optional[Mapping[Incidence, Collection[int]]] = None,
     require_total: bool = False,
 ) -> list:
     """Empty list iff adjacent colored incidences always differ (and lists are respected).
@@ -228,7 +229,7 @@ def verify_incidence(
                 out.append(Violation("list", (inc,), f"{inc} is not an incidence of the graph"))
                 continue
             c = coloring[inc]
-            if L is not None and c not in set(L.get(inc, ())):
+            if L is not None and c not in L.get(inc, ()):
                 out.append(Violation("list", (inc,), f"color {c} not in list of {inc}"))
             for nb in sorted(clashes.get(inc, ())):
                 nb = Incidence(*nb)

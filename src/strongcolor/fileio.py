@@ -171,7 +171,10 @@ def _parse_keys(keys, incidence: bool) -> list:
         bad = next(k for k in keys if one.fullmatch(k) is None)
         form = '"v:e" with canonical integers' if incidence else 'a canonical integer such as "3"'
         raise FormatError(f"key must be {form}, got {bad!r}")
-    nums = list(map(int, text.replace(":", "\n").split()))
+    try:
+        nums = list(map(int, text.replace(":", "\n").split()))
+    except ValueError as exc:  # a number past sys.get_int_max_str_digits()
+        raise FormatError(f"key holds a number too long to read: {exc}") from exc
     return list(map(Incidence, nums[0::2], nums[1::2])) if incidence else nums
 
 
@@ -184,17 +187,18 @@ def lists_to_text(lists: Mapping, incidence: bool = False) -> str:
 
 
 def lists_from_text(text: str, incidence: bool = False) -> dict:
+    """The lists of one document; equal lists share one frozenset."""
     doc = _load(text)
     body = doc.get("lists")
     if not isinstance(body, dict):
         raise FormatError("missing lists object")
-    try:
-        keyed = {
-            key: frozenset(_int(c, "a color") for c in v)
-            for key, v in zip(_parse_keys(body, incidence), body.values())
-        }
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"malformed lists: {exc}") from exc
+    shared: dict = {}  # each distinct list -> its one frozenset
+    keyed = {}
+    for key, v in zip(_parse_keys(body, incidence), body.values()):
+        if type(v) is not list:
+            raise FormatError(f"list of {key} must be a list, got {_JSON_NAMES[type(v)]}")
+        colors = frozenset(_int(c, "a color") for c in v)
+        keyed[key] = shared.setdefault(colors, colors)
     for key, colors in keyed.items():
         if colors and min(colors) < 0:
             raise FormatError(f"list of {key} holds a negative color {min(colors)}")
@@ -222,11 +226,8 @@ def coloring_from_text(text: str) -> Tuple[str, Dict]:
     body = doc.get("colors")
     if not isinstance(body, dict):
         raise FormatError("missing colors object")
-    try:
-        keys = _parse_keys(body, mode == "incidence")
-        colors = {k: _int(c, "a color") for k, c in zip(keys, body.values())}
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"malformed colors: {exc}") from exc
+    keys = _parse_keys(body, mode == "incidence")
+    colors = {k: _int(c, "a color") for k, c in zip(keys, body.values())}
     for k, c in colors.items():
         if c < 0:
             raise FormatError(f"{k} has a negative color {c}")

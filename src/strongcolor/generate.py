@@ -107,11 +107,23 @@ def random_23_bipartite(nA: int, nB: int, seed: int) -> BipartiteGraph:
 
 
 def random_lists(edge_ids: Iterable[int], k: int, palette: int, seed: int) -> ListAssignment:
-    """Independent uniform k-subsets of {0..palette-1}, one per edge."""
+    """Independent uniform k-subsets of {0..palette-1}, one per edge.
+
+    Equal draws share one frozenset, so the lists take memory per distinct
+    subset (at most 28 for 6 of 8 colors), not per edge.
+    """
     if k > palette:
         raise BadSize(f"list size {k} exceeds palette {palette}")
     rng = SplitMix64(seed)
-    return {e: frozenset(rng.subset(k, palette)) for e in sorted(edge_ids)}
+    shared: dict = {}  # each drawn subset, a sorted tuple -> its one frozenset
+    lists = {}
+    for e in sorted(edge_ids):
+        draw = rng.subset(k, palette)
+        lst = shared.get(draw)
+        if lst is None:
+            lst = shared[draw] = frozenset(draw)
+        lists[e] = lst
+    return lists
 
 
 def _k23() -> BipartiteGraph:

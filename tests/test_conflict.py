@@ -415,6 +415,11 @@ class TestVerifyIncidenceEquivalence:
                 want = _frozen_verify_incidence(g, coloring, L, total)
                 got = sc.verify_incidence(g, coloring, L, total)
                 assert [repr(v) for v in got] == [repr(v) for v in want]
+                if L is not None:  # lists given as Python lists or sets read alike
+                    for kind in (list, set):
+                        as_kind = {k: kind(v) for k, v in L.items()}
+                        got = sc.verify_incidence(g, coloring, as_kind, total)
+                        assert [repr(v) for v in got] == [repr(v) for v in want]
                 kinds.update(v.kind for v in want)
         # every kind of violation occurred, so each branch was compared
         assert kinds == {"conflict", "list", "uncolored"}

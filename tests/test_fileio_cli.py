@@ -102,12 +102,19 @@ class TestListsAndColoringFiles:
         assert fileio.lists_from_text(text, incidence) == L
         assert fileio.lists_to_text(fileio.lists_from_text(text, incidence), incidence) == text
 
-    @pytest.mark.parametrize("incidence", [False, True])
-    def test_negative_color_rejected(self, incidence):
-        key = "0:0" if incidence else "0"
-        text = json.dumps({"format_version": 1, "lists": {key: [1, -2, 3]}})
-        with pytest.raises(sc.FormatError):
-            fileio.lists_from_text(text, incidence=incidence)
+    @pytest.mark.parametrize(
+        "body, incidence, message",
+        [
+            ('"0": [1, -2, 3]', False, "list of 0 holds a negative color -2"),
+            ('"0:0": [1, -2, 3]', True, r"list of Incidence\(vertex=0, edge=0\) holds"),
+            ('"0": [1, 2], "1": [3, -4], "2": [1, 2], "3": [-5]', False,
+             "list of 1 holds a negative color -4$"),
+        ],
+        ids=["False", "True", "first_of_two_negative"],  # the first two by their incidence flag
+    )
+    def test_negative_color_rejected(self, body, incidence, message):
+        with pytest.raises(sc.FormatError, match=f"^{message}"):
+            fileio.lists_from_text(_lists_doc(body), incidence=incidence)
 
     @pytest.mark.parametrize("incidence", [False, True])
     @pytest.mark.parametrize("color", [1.9, "2", True])
@@ -116,6 +123,25 @@ class TestListsAndColoringFiles:
         text = json.dumps({"format_version": 1, "lists": {key: [color, 3, 4]}})
         with pytest.raises(sc.FormatError, match="must be an integer"):
             fileio.lists_from_text(text, incidence=incidence)
+
+    @pytest.mark.parametrize(
+        "value, kind", [("abc", "a string"), ({"1": 2}, "an object"), (5, "an integer")]
+    )
+    def test_list_that_is_not_a_json_list_rejected(self, value, kind):
+        text = json.dumps({"format_version": 1, "lists": {"1": [1, 2], "0": value}})
+        with pytest.raises(sc.FormatError) as err:
+            fileio.lists_from_text(text)
+        assert str(err.value) == f"list of 0 must be a list, got {kind}"
+
+    def test_equal_lists_share_one_frozenset(self):
+        L = sc.random_lists(range(400), 6, 8, 4)
+        for incidence in (False, True):
+            if incidence:
+                L = {Incidence(e % 7, e): colors for e, colors in L.items()}
+            text = fileio.lists_to_text(L, incidence)
+            back = fileio.lists_from_text(text, incidence)
+            assert back == L
+            assert len({id(v) for v in back.values()}) == len(set(back.values())) <= 28
 
     @pytest.mark.parametrize("incidence", [False, True])
     def test_non_integer_coloring_rejected(self, incidence):
@@ -637,6 +663,29 @@ class TestCanonicalKeys:
         lpath.write_text(_lists_doc(f'"{key}": {SIX}, "{key}": {SIX}'))
         assert cli.main(["color", str(k23_file), "--mode", mode, "--lists", str(lpath)]) == 2
         assert "appears twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, mode", [
+        ("color", "strong"), ("verify", "incidence"), ("oracle", "strong"), ("verify", "strong"),
+    ])
+    def test_key_past_the_digit_limit_is_exit_2(self, tmp_path, capsys, k23_file, command, mode):
+        """A canonical key too long for int() is a format error, not a traceback."""
+        huge = "1" + "0" * 4999
+        key = huge if mode == "strong" else f"{huge}:0"
+        lpath, cpath = tmp_path / "lists.json", tmp_path / "c.colors"
+        lpath.write_text(_lists_doc(f'"{key}": {SIX}'))
+        cpath.write_text(_coloring_doc(mode, '"0": 1' if mode == "strong" else '"0:0": 1'))
+        if command == "verify":
+            argv = [command, str(k23_file), str(cpath), "--lists", str(lpath)]
+        else:
+            argv = [command, str(k23_file), "--mode", mode, "--lists", str(lpath)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: key holds a number too long to read: ")
+
+    @pytest.mark.parametrize("mode", ["strong", "incidence"])
+    def test_coloring_key_past_the_digit_limit(self, mode):
+        key = "1" + "0" * 4999 + ("" if mode == "strong" else ":0")
+        with pytest.raises(sc.FormatError, match="^key holds a number too long to read: "):
+            fileio.coloring_from_text(_coloring_doc(mode, f'"{key}": 1'))
 
 
 class TestFormatVersion:

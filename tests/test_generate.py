@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import strongcolor as sc
@@ -114,6 +116,37 @@ class TestRandomLists:
 
     def test_same_seed_identical(self):
         assert sc.random_lists(range(8), 6, 12, 9) == sc.random_lists(range(8), 6, 12, 9)
+
+    @staticmethod
+    def reference(edge_ids, k, palette, seed):
+        """The first form: one frozenset per edge."""
+        rng = SplitMix64(seed)
+        return {e: frozenset(rng.subset(k, palette)) for e in sorted(edge_ids)}
+
+    @pytest.mark.parametrize(
+        "k, palette, seed", [(6, 7, 1), (6, 8, 7), (6, 12, 3), (0, 4, 2), (3, 3, 5), (8, 40, 11)]
+    )
+    def test_matches_reference(self, k, palette, seed):
+        edge_ids = [5, 0, 9, 3] + list(range(10, 300))
+        L = sc.random_lists(edge_ids, k, palette, seed)
+        ref = self.reference(edge_ids, k, palette, seed)
+        assert list(L.items()) == list(ref.items())
+        # equal lists are one object
+        assert len({id(v) for v in L.values()}) == len(set(L.values()))
+
+    def test_shared_lists_keep_less_memory(self):
+        def kept(build):
+            tracemalloc.start()
+            try:
+                lists = build()
+                return tracemalloc.get_traced_memory()[0], lists
+            finally:
+                tracemalloc.stop()
+
+        shared, L = kept(lambda: sc.random_lists(range(6000), 6, 8, 5))
+        per_edge, ref = kept(lambda: self.reference(range(6000), 6, 8, 5))
+        assert L == ref
+        assert shared < per_edge / 2
 
     def test_list_bigger_than_palette(self):
         with pytest.raises(sc.BadSize):
