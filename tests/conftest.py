@@ -30,6 +30,26 @@ def brute_conflicts(b: sc.BipartiteGraph, e: int) -> set:
     return out
 
 
+def pair_adjacency(vertex_count: int, edges) -> list:
+    """Per vertex, its (edge id, neighbour) pairs in edge id order: the
+    pair-based adjacency the graph types once stored, as a reference."""
+    adj = [[] for _ in range(vertex_count)]
+    for eid, (u, v) in enumerate(edges):
+        adj[u].append((eid, v))
+        adj[v].append((eid, u))
+    return adj
+
+
+def halves(g: sc.Multigraph) -> tuple:
+    """``(g.nbrs, g.inc)``, or the same two halves split from pair-based ``g.adj``."""
+    if hasattr(g, "nbrs"):
+        return g.nbrs, g.inc
+    return (
+        tuple(tuple(w for _, w in a) for a in g.adj),
+        tuple(tuple(e for e, _ in a) for a in g.adj),
+    )
+
+
 def brute_girth(g: sc.Multigraph):
     """Length of a shortest cycle by exhaustive walk enumeration (small graphs)."""
     best = None

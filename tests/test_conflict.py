@@ -4,13 +4,20 @@ import pytest
 
 import strongcolor as sc
 from strongcolor import Incidence, PartialColoring
+from strongcolor.conflict import conflict_walk
 
-from conftest import brute_conflicts, incidence_adjacent, rand_b23
+from conftest import brute_conflicts, incidence_adjacent, pair_adjacency, rand_b23
 from test_golden import _generalized_petersen
 
 
 def path_graph(n):
     return sc.infer_parts(sc.build_multigraph(n, [(i, i + 1) for i in range(n - 1)]))
+
+
+def _frozen_conflict_walk(adj, edges, e):
+    """A frozen copy of the pair-based ``conflict_walk``: the reference."""
+    u, v = edges[e]
+    return [f for g, w in adj[u] + adj[v] if g != e for f, _ in adj[w]]
 
 
 class TestConflictEdges:
@@ -28,6 +35,17 @@ class TestConflictEdges:
         g = sc.build_multigraph(4, [(0, 1), (2, 3)])
         b = sc.BipartiteGraph(g, ["A", "B", "A", "B"])
         assert sc.conflict_edges(b, 0) == set()
+
+    def test_matches_frozen_pair_walk_on_random_subdivisions(self):
+        rng = sc.SplitMix64(33)
+        for _ in range(40):
+            b = sc.subdivide(sc.random_cubic(4 + 2 * rng.below(14), rng.next_u64())).bipartite
+            g = b.graph
+            adj = pair_adjacency(g.vertex_count, g.edges)
+            for e in range(g.edge_count):
+                walk = _frozen_conflict_walk(adj, g.edges, e)
+                assert conflict_walk(b, e) == walk
+                assert sc.conflict_edges(b, e) == set(walk)
 
     def test_bad_edge_id(self, k23):
         with pytest.raises(sc.BadEdgeId):

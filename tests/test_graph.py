@@ -12,7 +12,7 @@ from strongcolor import (
 from strongcolor.generate import SplitMix64
 from strongcolor.graph import _carve_cycle, _descriptor_from_cycle, _residual_shortest_cycle
 
-from conftest import bridged_cubic, brute_girth, disjoint_union, rand_b23
+from conftest import bridged_cubic, brute_girth, disjoint_union, halves, pair_adjacency, rand_b23
 from test_golden import _generalized_petersen
 
 
@@ -128,6 +128,51 @@ class TestSubdivide:
             inc_lists = {inc: frozenset(rng.subset(3, 8)) for inc in g.incidences() if rng.below(3)}
             expected = {eid: frozenset(inc_lists.get(inc, ())) for inc, eid in ref_map.items()}
             assert list(sub.edge_lists(inc_lists).items()) == list(expected.items())
+
+
+def _adjacency_corpus():
+    """Every fixture, plus 100 seeded random cubic graphs that have parallel edges."""
+    graphs = [sc.named(name) for name in sc.fixture_names()]
+    graphs = [g.graph if isinstance(g, sc.BipartiteGraph) else g for g in graphs]
+    rng = SplitMix64(21)
+    cubic = []
+    while len(cubic) < 100:
+        g = sc.random_cubic(4 + 2 * rng.below(10), rng.next_u64())
+        if len(set(map(frozenset, g.edges))) < g.edge_count:
+            cubic.append(g)
+    return graphs + cubic
+
+
+class TestAdjacencyHalves:
+    """``nbrs[v][k]`` is joined to v by edge ``inc[v][k]``, in edge id order."""
+
+    @staticmethod
+    def _assert_matches_pairs(g, pairs):
+        nbrs, inc = halves(g)
+        assert type(nbrs) is tuple and all(type(a) is tuple for a in nbrs)
+        assert type(inc) is tuple and all(type(a) is tuple for a in inc)
+        assert nbrs == tuple(tuple(w for _, w in a) for a in pairs)
+        assert inc == tuple(tuple(e for e, _ in a) for a in pairs)
+        assert [g.degree(v) for v in range(g.vertex_count)] == list(map(len, pairs))
+        assert g.max_degree() == max(map(len, pairs), default=0)
+
+    def test_fixture_names_include_multi_edges(self):
+        assert {"double-edge", "triple-edge"} <= set(sc.fixture_names())
+
+    def test_build_multigraph(self):
+        for g in _adjacency_corpus():
+            self._assert_matches_pairs(g, pair_adjacency(g.vertex_count, g.edges))
+
+    def test_subdivide(self):
+        for g in _adjacency_corpus():
+            n, m = g.vertex_count, g.edge_count
+            # edge 2e + s joins g.edges[e][s] to the midpoint n + e
+            sub_pairs = [(w, n + e) for e, ends in enumerate(g.edges) for w in ends]
+            self._assert_matches_pairs(sc.subdivide(g).bipartite.graph, pair_adjacency(n + m, sub_pairs))
+
+    def test_empty_graph(self):
+        self._assert_matches_pairs(sc.build_multigraph(0, []), [])
+        self._assert_matches_pairs(sc.build_multigraph(3, []), [[], [], []])
 
 
 class TestInferParts:
