@@ -62,10 +62,14 @@ def conflict_walk(b: BipartiteGraph, e: int) -> list:
     not e, as a simple graph has no second edge joining the endpoints of
     e.  Each f that conflicts with e is taken: through g = f when f shares
     an endpoint with e, and otherwise through the edge g meeting both.
+    In a simple graph the edge uw is e exactly when w = v, so the walk
+    skips the far end rather than the edge id.
     """
-    adj = b.graph.adj
+    nbrs, inc = b.graph.nbrs, b.graph.inc
     u, v = b.graph.endpoints(e)  # raises BadEdgeId
-    return [f for g, w in adj[u] + adj[v] if g != e for f, _ in adj[w]]
+    return [f for w in nbrs[u] if w != v for f in inc[w]] + [
+        f for w in nbrs[v] if w != u for f in inc[w]
+    ]
 
 
 def conflict_edges(b: BipartiteGraph, e: int) -> set:
@@ -135,7 +139,7 @@ def verify_strong(
     m = g.edge_count
     assigned = pc.assigned
     get = assigned.get
-    at = [[get(f, ~f) for f, _ in a] for a in g.adj]  # the colors at each vertex
+    at = [[get(f, ~f) for f in a] for a in g.inc]  # the colors at each vertex
     clash = any(len({*at[u], *at[v]}) < len(at[u]) + len(at[v]) - 1 for u, v in g.edges)
     colored = len(assigned.keys() & range(m))  # keys that are edge ids
     out = []
@@ -205,20 +209,22 @@ def verify_incidence(
         clashes.setdefault(lo, set()).add(hi)
 
     colored = 0  # keys found by the pass: the colored incidences of g
-    for v, at_v in enumerate(g.adj):
-        colors = [get((v, e)) for e, _ in at_v]
+    nbrs = g.nbrs
+    for v, at_v in enumerate(g.inc):
+        colors = [get((v, e)) for e in at_v]
         colored += len(colors) - colors.count(None)
         if len(set(colors)) < len(colors):  # a repeat, or two uncolored
-            for i, (e, _) in enumerate(at_v):
+            for i, e in enumerate(at_v):
                 for j in range(i):
                     if colors[i] is not None and colors[i] == colors[j]:
-                        clash((v, e), (v, at_v[j][0]))
-        for f, x in at_v:
-            far = get((x, f))
+                        clash((v, e), (v, at_v[j]))
+        nbrs_v = nbrs[v]  # edge at_v[k] joins v to nbrs_v[k]
+        for k, f in enumerate(at_v):
+            far = get((nbrs_v[k], f))
             if far is not None and far in colors:
-                for (e, _), c in zip(at_v, colors):
+                for e, c in zip(at_v, colors):
                     if c == far:
-                        clash((x, f), (v, e))
+                        clash((nbrs_v[k], f), (v, e))
 
     edges = g.edges
     out = []

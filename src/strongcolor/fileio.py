@@ -197,7 +197,7 @@ def lists_from_text(text: str, incidence: bool = False) -> dict:
     for key, v in zip(_parse_keys(body, incidence), body.values()):
         if type(v) is not list:
             raise FormatError(f"list of {key} must be a list, got {_JSON_NAMES[type(v)]}")
-        colors = frozenset(_int(c, "a color") for c in v)
+        colors = frozenset({_int(c, "a color") for c in v})  # sized as a copy of a set
         keyed[key] = shared.setdefault(colors, colors)
     for key, colors in keyed.items():
         if colors and min(colors) < 0:

@@ -110,7 +110,9 @@ def random_lists(edge_ids: Iterable[int], k: int, palette: int, seed: int) -> Li
     """Independent uniform k-subsets of {0..palette-1}, one per edge.
 
     Equal draws share one frozenset, so the lists take memory per distinct
-    subset (at most 28 for 6 of 8 colors), not per edge.
+    subset (at most 28 for 6 of 8 colors), not per edge.  Each is copied
+    from a set, which CPython sizes at twice its length rather than the
+    four times of a frozenset grown element by element.
     """
     if k > palette:
         raise BadSize(f"list size {k} exceeds palette {palette}")
@@ -121,7 +123,7 @@ def random_lists(edge_ids: Iterable[int], k: int, palette: int, seed: int) -> Li
         draw = rng.subset(k, palette)
         lst = shared.get(draw)
         if lst is None:
-            lst = shared[draw] = frozenset(draw)
+            lst = shared[draw] = frozenset(set(draw))
         lists[e] = lst
     return lists
 

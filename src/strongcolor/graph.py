@@ -34,14 +34,20 @@ class Incidence(NamedTuple):
 
 
 class Multigraph:
-    """Loopless undirected multigraph with dense integer vertex and edge ids."""
+    """Loopless undirected multigraph with dense integer vertex and edge ids.
 
-    __slots__ = ("vertex_count", "edges", "adj")
+    The adjacency is two aligned tuples per vertex: ``inc[v][k]`` is the id
+    of the edge joining v to ``nbrs[v][k]``, in ascending edge id order.
+    A reader takes the half it needs, so no pair is built per incidence.
+    """
 
-    def __init__(self, vertex_count: int, edges: tuple, adj: tuple):
+    __slots__ = ("vertex_count", "edges", "nbrs", "inc")
+
+    def __init__(self, vertex_count: int, edges: tuple, nbrs: tuple, inc: tuple):
         self.vertex_count = vertex_count
         self.edges = edges  # edge id -> (u, v)
-        self.adj = adj  # vertex -> tuple of (edge id, neighbor)
+        self.nbrs = nbrs  # vertex -> tuple of neighbours
+        self.inc = inc  # vertex -> tuple of edge ids, aligned with nbrs
 
     @property
     def edge_count(self) -> int:
@@ -53,10 +59,10 @@ class Multigraph:
         return self.edges[e]
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return len(self.inc[v])
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        return max(map(len, self.inc), default=0)
 
     def incidences(self) -> Iterator[Incidence]:
         for e, (u, v) in enumerate(self.edges):
@@ -70,16 +76,19 @@ class Multigraph:
 def build_multigraph(vertex_count: int, endpoint_pairs: Sequence) -> Multigraph:
     """Validate and build a multigraph; edge ids follow input order."""
     edges = []
-    adj: list = [[] for _ in range(vertex_count)]
+    nbrs: list = [[] for _ in range(vertex_count)]
+    inc: list = [[] for _ in range(vertex_count)]
     for eid, (u, v) in enumerate(endpoint_pairs):
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise BadVertexId(f"edge {eid} endpoints ({u}, {v}) out of range 0..{vertex_count - 1}")
         if u == v:
             raise LoopEdge(f"edge {eid} is a loop at vertex {u}")
         edges.append((u, v))
-        adj[u].append((eid, v))
-        adj[v].append((eid, u))
-    return Multigraph(vertex_count, tuple(edges), tuple(tuple(a) for a in adj))
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+        inc[u].append(eid)
+        inc[v].append(eid)
+    return Multigraph(vertex_count, tuple(edges), tuple(map(tuple, nbrs)), tuple(map(tuple, inc)))
 
 
 class BipartiteGraph:
@@ -155,7 +164,7 @@ def components(g: Multigraph) -> list:
         frontier = [start]
         while frontier:
             v = frontier.pop()
-            for _, w in g.adj[v]:
+            for w in g.nbrs[v]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
@@ -174,7 +183,9 @@ class SubdivisionMap:
     the subdivision joins ``g.edges[e][s]`` to that midpoint, so it is the
     incidence ``(g.edges[e][s], e)``: edge ``i`` is the ``i``-th item of
     ``g.incidences()``.  That bijection is what transports incidence
-    colorings to strong edge-colorings.
+    colorings to strong edge-colorings.  In the adjacency the midpoint
+    ``n + e`` has ``g.edges[e]`` itself as its ``nbrs`` entry and
+    ``(2e, 2e + 1)`` as its ``inc`` entry.
     """
 
     bipartite: BipartiteGraph
@@ -199,19 +210,26 @@ def subdivide(g: Multigraph) -> SubdivisionMap:
     edge gets its own midpoint), has ``|V| + |E|`` vertices and ``2|E|``
     edges, and midpoints all have degree 2.  The graph is written directly
     in the order ``build_multigraph`` would give it, and ``BipartiteGraph``
-    checks it as it checks any input.
+    checks it as it checks any input.  Each edge id is made once, so
+    ``inc`` of an endpoint and of the midpoint share one int.
     """
     n, m = g.vertex_count, g.edge_count
     edges = []
-    adj: list = [[] for _ in range(n)]
-    mids = []
+    nbrs: list = [[] for _ in range(n)]
+    inc: list = [[] for _ in range(n)]
+    mid_inc = []
     for e, (u, v) in enumerate(g.edges):
         mid = n + e
+        i, j = 2 * e, 2 * e + 1
         edges += ((u, mid), (v, mid))
-        adj[u].append((2 * e, mid))
-        adj[v].append((2 * e + 1, mid))
-        mids.append(((2 * e, u), (2 * e + 1, v)))
-    sg = Multigraph(n + m, tuple(edges), tuple(map(tuple, adj)) + tuple(mids))
+        nbrs[u].append(mid)
+        nbrs[v].append(mid)
+        inc[u].append(i)
+        inc[v].append(j)
+        mid_inc.append((i, j))
+    nbrs_all = tuple(map(tuple, nbrs)) + g.edges  # the midpoint n + e reuses g.edges[e]
+    inc_all = tuple(map(tuple, inc)) + tuple(mid_inc)
+    sg = Multigraph(n + m, tuple(edges), nbrs_all, inc_all)
     return SubdivisionMap(BipartiteGraph(sg, [PART_B] * n + [PART_A] * m))
 
 
@@ -231,7 +249,7 @@ def infer_parts(g: Multigraph) -> BipartiteGraph:
         side[anchor] = 0
         queue = [anchor]
         for v in queue:
-            for _, w in g.adj[v]:
+            for w in g.nbrs[v]:
                 if side[w] == -1:
                     side[w] = 1 - side[v]
                     queue.append(w)
@@ -279,12 +297,12 @@ def _carve_cycle(b: BipartiteGraph, s: int):
     ``descents`` counts its steps.  The first shared end along the cycle
     is taken.
     """
-    adj, part_of = b.graph.adj, b.part_of
+    nbrs, part_of = b.graph.nbrs, b.part_of
     parent = {s: -1}
     queue = [s]
     closed = False
     for u in queue:
-        for _, w in adj[u]:
+        for w in nbrs[u]:
             if w not in parent:
                 parent[w] = u
                 queue.append(w)
@@ -310,7 +328,7 @@ def _carve_cycle(b: BipartiteGraph, s: int):
         for i, v in enumerate(cyc):
             if part_of[v] == PART_B:
                 around = (cyc[i - 1], cyc[(i + 1) % n])
-                p = next(x for _, x in adj[v] if x not in around)
+                p = next(x for x in nbrs[v] if x not in around)
                 j = owner.setdefault(p, i)
                 if j != i:
                     break
@@ -419,7 +437,7 @@ def _residual_shortest_cycle(b: BipartiteGraph, vertex_order):
     """
     g = b.graph
     pos = {v: i for i, v in enumerate(vertex_order)}
-    nbrs = [[pos[w] for _, w in g.adj[v]] for v in vertex_order]
+    nbrs = [[pos[w] for w in g.nbrs[v]] for v in vertex_order]
     dist = [-1] * len(vertex_order)
     best, first = len(vertex_order) + 2, -1  # longer than any cycle
     for s, ns in enumerate(nbrs):
@@ -475,7 +493,7 @@ def _descriptor_from_cycle(b: BipartiteGraph, cyc) -> CycleDescriptor:
         ordered = [ordered[0]] + ordered[:0:-1]
     edge_of = {}
     for v in ordered:
-        for eid, w in g.adj[v]:
+        for w, eid in zip(g.nbrs[v], g.inc[v]):
             edge_of[(v, w)] = eid
     cyc_edges = []
     cyc_set = set(ordered)
@@ -491,7 +509,7 @@ def _descriptor_from_cycle(b: BipartiteGraph, cyc) -> CycleDescriptor:
             continue
         i = pos[v]
         on_cycle = {cyc_edges[i], cyc_edges[i - 1]}
-        third = [(eid, w) for eid, w in g.adj[v] if eid not in on_cycle]
+        third = [(eid, w) for w, eid in zip(g.nbrs[v], g.inc[v]) if eid not in on_cycle]
         if len(third) > 1:
             raise InternalInvariant(f"cycle vertex {v} has {len(third) + 2} edges")
         if third:

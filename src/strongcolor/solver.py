@@ -148,7 +148,7 @@ class PeelState:
 
     @staticmethod
     def for_graph(b: BipartiteGraph) -> "PeelState":
-        deg = list(map(len, b.graph.adj))
+        deg = list(map(len, b.graph.inc))
         cap = [1 if p == PART_A else 2 for p in b.part_of]
         heap = [v for v, d in enumerate(deg) if 0 < d <= cap[v]]  # ascending, so a heap
         return PeelState([True] * b.graph.edge_count, deg, cap, heap)
@@ -170,14 +170,14 @@ def peel(b: BipartiteGraph, state: PeelState) -> Iterator[int]:
     lowest incident edge id win.  Each removal is ``_remove_edge``, written
     out in the loop.
     """
-    adj, edges = b.graph.adj, b.graph.edges
+    inc, edges = b.graph.inc, b.graph.edges
     alive, deg, cap, heap = state.alive, state.deg, state.cap, state.heap
     m = len(alive)
     while heap:
         v = heappop(heap)
         if 0 < deg[v] <= cap[v]:  # else a stale entry
             e = m  # v qualifies, so some edge at v is alive and below m
-            for f, _ in adj[v]:
+            for f in inc[v]:
                 if f < e and alive[f]:
                     e = f
             alive[e] = False
@@ -222,7 +222,7 @@ def greedy_unwind(
     """
     pc = PartialColoring()
     assigned = pc.assigned
-    adj, edges = b.graph.adj, b.graph.edges
+    nbrs, edges = b.graph.nbrs, b.graph.edges
     palette = sorted(set().union(*map(L.__getitem__, peeled)))
     size = len(palette)  # above every rank
     rank = {c: i for i, c in enumerate(palette)}
@@ -230,9 +230,9 @@ def greedy_unwind(
     for e in reversed(peeled):
         x, y = edges[e]
         blocked = 0
-        for _, w in adj[x]:
+        for w in nbrs[x]:
             blocked |= at[w]
-        for _, w in adj[y]:
+        for w in nbrs[y]:
             blocked |= at[w]
         top = size  # the lowest free rank in L[e] so far
         for c in L[e]:
@@ -740,7 +740,7 @@ def color_strong_23(
             desc = _descriptor_from_cycle(b, cyc)
             # every edge at a cycle vertex: the cycle and its pendants; the
             # heap pops the same vertices whatever the removal order
-            for eid in {eid for v in desc.vertices for eid, _ in g.adj[v]}:
+            for eid in {eid for v in desc.vertices for eid in g.inc[v]}:
                 _remove_edge(b, state, eid)
             carved.append(desc)
             peeled += peel(b, state)

@@ -40,16 +40,6 @@ def pair_adjacency(vertex_count: int, edges) -> list:
     return adj
 
 
-def halves(g: sc.Multigraph) -> tuple:
-    """``(g.nbrs, g.inc)``, or the same two halves split from pair-based ``g.adj``."""
-    if hasattr(g, "nbrs"):
-        return g.nbrs, g.inc
-    return (
-        tuple(tuple(w for _, w in a) for a in g.adj),
-        tuple(tuple(e for e, _ in a) for a in g.adj),
-    )
-
-
 def brute_girth(g: sc.Multigraph):
     """Length of a shortest cycle by exhaustive walk enumeration (small graphs)."""
     best = None
@@ -65,7 +55,7 @@ def brute_girth(g: sc.Multigraph):
         nonlocal best
         if best is not None and length >= best:
             return
-        for eid, w in g.adj[current]:
+        for eid, w in zip(g.inc[current], g.nbrs[current]):
             if eid == first_edge and length == 1:
                 continue
             if w == start and length >= 2:
@@ -77,7 +67,7 @@ def brute_girth(g: sc.Multigraph):
                 visited.remove(w)
 
     for start in range(g.vertex_count):
-        for eid, w in g.adj[start]:
+        for eid, w in zip(g.inc[start], g.nbrs[start]):
             if w > start:
                 dfs(start, w, {w}, eid, 1)
     return best

@@ -346,11 +346,11 @@ def _frozen_incidence_neighbors(g, inc):
     a, w = g.endpoints(e)
     u = w if v == a else a
     out = set()
-    for fid, x in g.adj[v]:
+    for fid, x in zip(g.inc[v], g.nbrs[v]):
         if fid != e:
             out.add(Incidence(v, fid))
             out.add(Incidence(x, fid))
-    for fid, _ in g.adj[u]:
+    for fid in g.inc[u]:
         out.add(Incidence(u, fid))
     out.discard(inc)
     return out

@@ -148,6 +148,22 @@ class TestRandomLists:
         assert L == ref
         assert shared < per_edge / 2
 
+    def test_distinct_lists_take_at_most_500_bytes(self):
+        def kept(build):
+            tracemalloc.start()
+            try:
+                out = build()
+                return tracemalloc.get_traced_memory()[0], out
+            finally:
+                tracemalloc.stop()
+
+        sc.random_lists(range(6000), 6, 8, 5)  # fill the interpreter's free lists untraced
+        lists, L = kept(lambda: sc.random_lists(range(6000), 6, 8, 5))
+        keys, _ = kept(lambda: {e: None for e in sorted(range(6000))})
+        distinct = len({id(lst) for lst in L.values()})
+        assert distinct == 28
+        assert lists - keys <= 500 * distinct
+
     def test_list_bigger_than_palette(self):
         with pytest.raises(sc.BadSize):
             sc.random_lists(range(2), 7, 6, 0)

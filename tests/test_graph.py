@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from strongcolor import (
 from strongcolor.generate import SplitMix64
 from strongcolor.graph import _carve_cycle, _descriptor_from_cycle, _residual_shortest_cycle
 
-from conftest import bridged_cubic, brute_girth, disjoint_union, halves, pair_adjacency, rand_b23
+from conftest import bridged_cubic, brute_girth, disjoint_union, pair_adjacency, rand_b23
 from test_golden import _generalized_petersen
 
 
@@ -121,7 +123,8 @@ class TestSubdivide:
             b = sub.bipartite
             assert b.graph.vertex_count == ref.graph.vertex_count
             assert b.graph.edges == ref.graph.edges
-            assert b.graph.adj == ref.graph.adj
+            assert b.graph.nbrs == ref.graph.nbrs
+            assert b.graph.inc == ref.graph.inc
             assert b.part_of == ref.part_of
             assert list(sub.incidence_to_edge.items()) == list(ref_map.items())
             # some incidences lack a list; theirs must read as empty
@@ -148,7 +151,7 @@ class TestAdjacencyHalves:
 
     @staticmethod
     def _assert_matches_pairs(g, pairs):
-        nbrs, inc = halves(g)
+        nbrs, inc = g.nbrs, g.inc
         assert type(nbrs) is tuple and all(type(a) is tuple for a in nbrs)
         assert type(inc) is tuple and all(type(a) is tuple for a in inc)
         assert nbrs == tuple(tuple(w for _, w in a) for a in pairs)
@@ -173,6 +176,29 @@ class TestAdjacencyHalves:
     def test_empty_graph(self):
         self._assert_matches_pairs(sc.build_multigraph(0, []), [])
         self._assert_matches_pairs(sc.build_multigraph(3, []), [[], [], []])
+
+    def test_subdivision_keeps_less_than_pairs(self):
+        def kept(build):
+            tracemalloc.start()
+            try:
+                out = build()
+                return tracemalloc.get_traced_memory()[0], out
+            finally:
+                tracemalloc.stop()
+
+        g = sc.random_cubic(2000, 3)
+        n, m = g.vertex_count, g.edge_count
+
+        def pair_based():
+            # what a subdivision with one (edge id, neighbour) pair per incidence holds
+            edges = tuple((w, n + e) for e, ends in enumerate(g.edges) for w in ends)
+            adj = tuple(map(tuple, pair_adjacency(n + m, edges)))
+            return edges, adj, (sc.PART_B,) * n + (sc.PART_A,) * m
+
+        halves, sub = kept(lambda: sc.subdivide(g))
+        pairs, (edges, _, part_of) = kept(pair_based)
+        assert sub.bipartite.graph.edges == edges and sub.bipartite.part_of == part_of
+        assert halves < 0.8 * pairs
 
 
 class TestInferParts:
@@ -338,12 +364,13 @@ def _reference_cycle_through(start, adj, alive, cap):
 def _reference_scan(b, alive, deg, vertex_order):
     """A BFS from every start of degree >= 2, no skips, no early stop;
     the first cycle of minimum length wins."""
+    adj = pair_adjacency(b.graph.vertex_count, b.graph.edges)
     best = None
     for s in vertex_order:
         if deg[s] < 2:
             continue
         cap = (best[0] - 2) // 2 if best is not None else b.graph.vertex_count
-        hit = _reference_cycle_through(s, b.graph.adj, alive, cap)
+        hit = _reference_cycle_through(s, adj, alive, cap)
         if hit is not None and (best is None or hit[0] < best[0]):
             best = (hit[0], tuple(hit[1]))
     return best
@@ -516,7 +543,7 @@ def _assert_carves(b):
         n = len(cyc)
         on = set(cyc)
         assert n >= 4 and n % 2 == 0 and len(on) == n and on <= set(comp)
-        nbrs = [{w for _, w in g.adj[v]} for v in cyc]
+        nbrs = [set(g.nbrs[v]) for v in cyc]
         for i, v in enumerate(cyc):
             nxt = cyc[(i + 1) % n]
             assert nxt in nbrs[i] and b.part(v) != b.part(nxt)

@@ -128,7 +128,7 @@ def test_a_component_below_full_degree_peels_without_a_removal(seed, na, nb):
     for comp in sc.components(g):
         biregular = all(_full_degree(b, v) for v in comp)
         for v in comp:
-            assert all(state.alive[e] == biregular for e, _ in g.adj[v])
+            assert all(state.alive[e] == biregular for e in g.inc[v])
 
 
 @settings(max_examples=40, deadline=None)

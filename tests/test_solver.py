@@ -47,7 +47,7 @@ def _ref_peel_step(b, alive, deg, heap, stack):
         v = heappop(heap)
         if not _ref_qualifies(b, deg, v):
             continue
-        e = min(eid for eid, _ in b.graph.adj[v] if alive[eid])
+        e = min(eid for eid in b.graph.inc[v] if alive[eid])
         _ref_remove_edge(b, alive, deg, heap, e)
         stack.append(e)
         return e
@@ -86,7 +86,7 @@ def _ref_solve(b, L):
             stats.carve_descents += descents
             desc = solver._descriptor_from_cycle(b, cyc)
             for v in desc.vertices:
-                for eid, _ in g.adj[v]:
+                for eid in g.inc[v]:
                     if alive[eid]:
                         _ref_remove_edge(b, alive, deg, heap, eid)
             carved.append(desc)
@@ -578,7 +578,7 @@ class TestOneCarvePerBiregularComponent:
             g = b.graph
             biregular = peeled = 0
             for comp in components(g):
-                if not g.adj[comp[0]]:
+                if not g.inc[comp[0]]:
                     continue
                 full = all(g.degree(v) == (2 if b.part(v) == "A" else 3) for v in comp)
                 biregular += full
