@@ -139,10 +139,7 @@ def graph_from_text(text: str) -> Union[Multigraph, BipartiteGraph]:
     if kind == "multigraph":
         return g
     parts = _member(doc, "parts", dict, "a bipartite graph document")
-    part_a, part_b = (
-        {_int(v, f"a vertex of part {name}") for v in _member(parts, name, list, "'parts'")}
-        for name in "AB"
-    )
+    part_a, part_b = (_part(parts, name) for name in "AB")
     if part_a | part_b != set(range(n)) or part_a & part_b:
         raise FormatError("parts must partition the vertex set")
     labels = [PART_A if v in part_a else PART_B for v in range(n)]
@@ -150,6 +147,17 @@ def graph_from_text(text: str) -> Union[Multigraph, BipartiteGraph]:
         return BipartiteGraph(g, labels)
     except InputError as exc:
         raise FormatError(f"graph document violates its bipartite labeling: {exc}") from exc
+
+
+def _part(parts: dict, name: str) -> set:
+    """The vertices of part ``name``; a vertex listed twice is a format error."""
+    vertices = set()
+    for v in _member(parts, name, list, "'parts'"):
+        v = _int(v, f"a vertex of part {name}")
+        if v in vertices:
+            raise FormatError(f"vertex {v} appears twice in part {name}")
+        vertices.add(v)
+    return vertices
 
 
 # -- color lists -------------------------------------------------------------

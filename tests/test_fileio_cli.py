@@ -292,6 +292,19 @@ class TestCliColor:
         assert cli.main(["color", str(bad), "--uniform", "6"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_vertex_twice_in_one_part(self, tmp_path, capsys):
+        doc = {
+            "format_version": 1,
+            "kind": "bipartite",
+            "vertex_count": 3,
+            "edges": [[0, 1], [0, 2]],
+            "parts": {"A": [1, 2, 2], "B": [0]},
+        }
+        bad = tmp_path / "bad.graph"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["color", str(bad), "--uniform", "6"]) == 2
+        assert capsys.readouterr().err == "error: vertex 2 appears twice in part A\n"
+
     def test_negative_vertex_count(self, tmp_path):
         bad = tmp_path / "bad.graph"
         bad.write_text(json.dumps(
