@@ -32,8 +32,62 @@ _EDGE_KEYS = re.compile(f"(?:{_NUMBER}\n)*")
 _INCIDENCE_KEYS = re.compile(f"(?:{_NUMBER}:{_NUMBER}\n)*")
 
 
+_CONTAINERS = frozenset((dict, list, tuple))
+
+
+def _items(obj):
+    return obj.values() if type(obj) is dict else obj
+
+
+def _flat(obj, separator: str) -> str:
+    """``obj`` in one C-encoder call, with ``separator`` between items at every depth."""
+    return json.dumps(obj, sort_keys=True, separators=(separator, ": "))
+
+
+def _encode(obj, nl: str) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it on
+    a line that ``nl``, a newline and an indent, starts; keys are strings.
+
+    With ``indent`` the json module encodes in Python.  A container of
+    scalars is one C call instead, with the newline and the indent in its
+    item separator, and so is a list of nonempty containers of scalars.
+    There, every item of a child ends in a scalar, so a separator right
+    after a closing bracket is one between two children; it is re-indented
+    by ``str.replace``.  No JSON string holds a raw newline, so the
+    separators match nothing inside one.  Only other nesting recurses.
+    """
+    if type(obj) not in _CONTAINERS or not obj:
+        return json.dumps(obj)
+    inner = nl + "  "
+    kinds = set(map(type, _items(obj)))
+    if kinds.isdisjoint(_CONTAINERS):
+        body = _flat(obj, "," + inner)
+    elif (
+        type(obj) is not dict
+        and kinds <= _CONTAINERS
+        and all(obj)
+        and all(_CONTAINERS.isdisjoint(map(type, _items(x))) for x in obj)
+    ):
+        deep = inner + "  "
+        body = _flat(obj, "," + deep)
+        for close in "]}":
+            for open_ in "[{":
+                body = body.replace(
+                    close + "," + deep + open_, inner + close + "," + inner + open_ + deep
+                )
+        body = body[:2] + deep + body[2:-2] + inner + body[-2:]
+    elif type(obj) is dict:
+        body = "{" + ("," + inner).join(
+            f"{json.dumps(k)}: {_encode(obj[k], inner)}" for k in sorted(obj)
+        ) + "}"
+    else:
+        body = "[" + ("," + inner).join([_encode(x, inner) for x in obj]) + "]"
+    return body[0] + inner + body[1:-1] + nl + body[-1]
+
+
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    return _encode(doc, "\n") + "\n"
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strongcolor as sc
 from strongcolor import cli, fileio
@@ -181,6 +183,40 @@ class TestListsAndColoringFiles:
         text = fileio.coloring_to_text(colors, "incidence")
         mode, back = fileio.coloring_from_text(text)
         assert mode == "incidence" and back == colors
+
+
+# strings that hold what the writer's separators and brackets look like
+_TEXT = st.text(alphabet=st.sampled_from('ab[]{},:" \\\n\t\x00'), max_size=6)
+_SCALARS = st.none() | st.booleans() | st.integers() | _TEXT
+_FLAT = st.lists(_SCALARS, min_size=1, max_size=4) | st.dictionaries(
+    _TEXT, _SCALARS, min_size=1, max_size=4
+)
+_NESTED = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+class TestCanonicalDump:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _NESTED | st.lists(_FLAT, max_size=6) | st.dictionaries(_TEXT, st.lists(_FLAT), max_size=3)
+    )
+    def test_equals_the_indenting_encoder(self, doc):
+        assert fileio._dump(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_documents(self, k23):
+        g = sc.random_cubic(40, 3)
+        coloring, _ = sc.color_incidence(g, sc.uniform_incidence_lists(g, 6))
+        for text in (
+            fileio.graph_to_text(g),
+            fileio.graph_to_text(k23),
+            fileio.graph_to_text(sc.build_multigraph(2, [])),
+            fileio.coloring_to_text(coloring, "incidence"),
+            fileio.lists_to_text(sc.uniform_lists(range(3), 6)),
+        ):
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.fixture
