@@ -37,8 +37,9 @@ class Multigraph:
     """Loopless undirected multigraph with dense integer vertex and edge ids.
 
     The adjacency is two aligned tuples per vertex: ``inc[v][k]`` is the id
-    of the edge joining v to ``nbrs[v][k]``, in ascending edge id order.
-    A reader takes the half it needs, so no pair is built per incidence.
+    of the edge joining v to ``nbrs[v][k]``, in ascending edge id order,
+    so a neighbour joined by parallel edges is listed once per edge.  A
+    reader takes the half it needs, and no pair is stored per incidence.
     """
 
     __slots__ = ("vertex_count", "edges", "nbrs", "inc")
