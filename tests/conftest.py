@@ -5,6 +5,8 @@ The brute oracles deliberately re-derive everything from definitions
 internals they check.
 """
 
+import tracemalloc
+
 import pytest
 
 import strongcolor as sc
@@ -38,6 +40,16 @@ def pair_adjacency(vertex_count: int, edges) -> list:
         adj[u].append((eid, v))
         adj[v].append((eid, u))
     return adj
+
+
+def kept(build) -> tuple:
+    """``(bytes still allocated, result)`` of ``build()``, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return tracemalloc.get_traced_memory()[0], out
+    finally:
+        tracemalloc.stop()
 
 
 def brute_girth(g: sc.Multigraph):

@@ -5,6 +5,8 @@ import pytest
 import strongcolor as sc
 from strongcolor.generate import SplitMix64
 
+from conftest import kept
+
 
 class TestSplitMix64:
     def test_pinned_stream(self):
@@ -149,17 +151,9 @@ class TestRandomLists:
         assert shared < per_edge / 2
 
     def test_distinct_lists_take_at_most_500_bytes(self):
-        def kept(build):
-            tracemalloc.start()
-            try:
-                out = build()
-                return tracemalloc.get_traced_memory()[0], out
-            finally:
-                tracemalloc.stop()
-
         sc.random_lists(range(6000), 6, 8, 5)  # fill the interpreter's free lists untraced
         lists, L = kept(lambda: sc.random_lists(range(6000), 6, 8, 5))
-        keys, _ = kept(lambda: {e: None for e in sorted(range(6000))})
+        keys, _ = kept(lambda: {e: None for e in sorted(range(6000))})  # the dict and keys alone
         distinct = len({id(lst) for lst in L.values()})
         assert distinct == 28
         assert lists - keys <= 500 * distinct

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +12,14 @@ from strongcolor import (
 from strongcolor.generate import SplitMix64
 from strongcolor.graph import _carve_cycle, _descriptor_from_cycle, _residual_shortest_cycle
 
-from conftest import bridged_cubic, brute_girth, disjoint_union, pair_adjacency, rand_b23
+from conftest import (
+    bridged_cubic,
+    brute_girth,
+    disjoint_union,
+    kept,
+    pair_adjacency,
+    rand_b23,
+)
 from test_golden import _generalized_petersen
 
 
@@ -159,9 +164,6 @@ class TestAdjacencyHalves:
         assert [g.degree(v) for v in range(g.vertex_count)] == list(map(len, pairs))
         assert g.max_degree() == max(map(len, pairs), default=0)
 
-    def test_fixture_names_include_multi_edges(self):
-        assert {"double-edge", "triple-edge"} <= set(sc.fixture_names())
-
     def test_build_multigraph(self):
         for g in _adjacency_corpus():
             self._assert_matches_pairs(g, pair_adjacency(g.vertex_count, g.edges))
@@ -171,21 +173,14 @@ class TestAdjacencyHalves:
             n, m = g.vertex_count, g.edge_count
             # edge 2e + s joins g.edges[e][s] to the midpoint n + e
             sub_pairs = [(w, n + e) for e, ends in enumerate(g.edges) for w in ends]
-            self._assert_matches_pairs(sc.subdivide(g).bipartite.graph, pair_adjacency(n + m, sub_pairs))
+            sub = sc.subdivide(g).bipartite.graph
+            self._assert_matches_pairs(sub, pair_adjacency(n + m, sub_pairs))
 
     def test_empty_graph(self):
         self._assert_matches_pairs(sc.build_multigraph(0, []), [])
         self._assert_matches_pairs(sc.build_multigraph(3, []), [[], [], []])
 
     def test_subdivision_keeps_less_than_pairs(self):
-        def kept(build):
-            tracemalloc.start()
-            try:
-                out = build()
-                return tracemalloc.get_traced_memory()[0], out
-            finally:
-                tracemalloc.stop()
-
         g = sc.random_cubic(2000, 3)
         n, m = g.vertex_count, g.edge_count
 
