@@ -63,11 +63,13 @@ def brute_girth(g: sc.Multigraph):
             return 2
         seen_pairs[key] = True
 
+    adj = pair_adjacency(g.vertex_count, g.edges)
+
     def dfs(start, current, visited, first_edge, length):
         nonlocal best
         if best is not None and length >= best:
             return
-        for eid, w in zip(g.inc[current], g.nbrs[current]):
+        for eid, w in adj[current]:
             if eid == first_edge and length == 1:
                 continue
             if w == start and length >= 2:
@@ -79,7 +81,7 @@ def brute_girth(g: sc.Multigraph):
                 visited.remove(w)
 
     for start in range(g.vertex_count):
-        for eid, w in zip(g.inc[start], g.nbrs[start]):
+        for eid, w in adj[start]:
             if w > start:
                 dfs(start, w, {w}, eid, 1)
     return best
