@@ -574,6 +574,17 @@ class TestCliStress:
         strip = lambda s: s.stdout.rsplit(" wall=", 1)[0]
         assert strip(a) == strip(b)
 
+    @pytest.mark.parametrize("argv, summary", [
+        (["--count", "30", "--seed", "11", "--size", "10"],
+         "instances=30 ok=30 rate=100.0% peeled=298 c4=0 c6=0 long=0 k23=0 sdr=0 descents=0"),
+        (["--count", "20", "--seed", "5", "--size", "20", "--family", "cubic"],
+         "instances=20 ok=20 rate=100.0% peeled=984 c4=3 c6=5 long=12 k23=0 sdr=4 descents=0"),
+    ])
+    def test_summary_pinned(self, capsys, argv, summary):
+        # the summary rests on the pinned generator streams
+        assert cli.main(["stress", *argv]) == 0
+        assert capsys.readouterr().out.rsplit(" wall=", 1)[0] == summary
+
     @pytest.mark.parametrize("var", ["STRONGCOLOR_ORACLE_MAX_EDGES", "STRONGCOLOR_ORACLE_MAX_NODES"])
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_budget_variable(self, monkeypatch, capsys, var, value):

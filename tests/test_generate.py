@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -35,6 +36,63 @@ class TestSplitMix64:
             s = rng.subset(6, 12)
             assert len(s) == 6 and list(s) == sorted(set(s))
             assert all(0 <= c < 12 for c in s)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+class TestPinnedStreams:
+    """Frozen outputs of the seeded generators: coloring files, golden
+    corpora and benchmark pools all rest on these streams."""
+
+    @pytest.mark.parametrize("n, seed, expected", [
+        (4, 7, "343f982b70e6da18"),
+        (30, 1, "e2a5649e92d008ea"),
+        (1000, 7, "de3b7fb2ba868e83"),
+        (1000, 2**64 - 1, "fcd72bfb1af769db"),
+    ])
+    def test_random_cubic(self, n, seed, expected):
+        assert _digest(sc.random_cubic(n, seed).edges) == expected
+
+    @pytest.mark.parametrize("na, nb, seed, expected", [
+        (3, 2, 0, "38bb1863aaece77c"),
+        (12, 9, 5, "4c3d7a33737ac133"),
+        (1500, 1000, 3, "9d64fbc32d82c4ac"),
+    ])
+    def test_random_23_bipartite(self, na, nb, seed, expected):
+        assert _digest(sc.random_23_bipartite(na, nb, seed).graph.edges) == expected
+
+    @pytest.mark.parametrize("m, k, palette, seed, expected", [
+        (57, 6, 8, 1, "c999cefca909b7f9"),
+        (6000, 6, 7, 11, "c4291588b991860c"),
+        (40, 3, 40, 2, "28ee1ca92dfe4722"),
+        (300, 6, 1000, 9, "a7f580a6bbbe7cfa"),
+    ])
+    def test_random_lists(self, m, k, palette, seed, expected):
+        L = sc.random_lists(range(m), k, palette, seed)
+        assert _digest(sorted((e, sorted(c)) for e, c in L.items())) == expected
+
+    def test_shuffle(self):
+        rng = SplitMix64(3)
+        xs = list(range(12))
+        rng.shuffle(xs)
+        assert xs == [7, 3, 4, 2, 8, 0, 1, 6, 5, 10, 11, 9]
+        assert rng.next_u64() == 13131983656473872511
+        rng = SplitMix64(2**64 - 1)
+        xs = list(range(2000))
+        rng.shuffle(xs)
+        assert _digest(xs) == "dfa3dcea8e71adc9"
+        assert rng.next_u64() == 30671691195244382
+
+    def test_subset(self):
+        rng = SplitMix64(5)
+        assert [rng.subset(6, 12) for _ in range(3)] == [
+            (0, 1, 2, 3, 5, 9), (0, 2, 3, 8, 9, 11), (0, 1, 3, 4, 7, 10)]
+        assert rng.subset(0, 5) == ()
+        assert rng.subset(4, 4) == (0, 1, 2, 3)
+        assert rng.subset(3, 1000) == (264, 700, 981)
+        assert rng.next_u64() == 13145571946871622659
 
 
 class TestRandomCubic:
