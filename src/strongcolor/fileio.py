@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import repeat
 from typing import Dict, Mapping, Tuple, Union
 
 from .errors import FormatError, InputError
@@ -237,7 +238,10 @@ def _parse_keys(keys, incidence: bool) -> list:
         nums = list(map(int, text.replace(":", "\n").split()))
     except ValueError as exc:  # a number past sys.get_int_max_str_digits()
         raise FormatError(f"key holds a number too long to read: {exc}") from exc
-    return list(map(Incidence, nums[0::2], nums[1::2])) if incidence else nums
+    if not incidence:
+        return nums
+    # tuple.__new__ builds each key in C; Incidence(...) runs a Python __new__
+    return list(map(tuple.__new__, repeat(Incidence), zip(nums[0::2], nums[1::2])))
 
 
 def lists_to_text(lists: Mapping, incidence: bool = False) -> str:

@@ -8,38 +8,132 @@ and reimplementations: splitmix64 with the usual constants
     z <- (z XOR z>>27) * 0x94D049BB133111EB mod 2^64
     output <- z XOR z>>31
 
-Bounded draws are ``next_u64() % n`` (documented modulo reduction);
-shuffles are Fisher-Yates from the top index down; k-subsets are the
-first k slots of a partial Fisher-Yates over the palette, sorted.
+Bounded draws are ``z % n`` (documented modulo reduction); shuffles are
+Fisher-Yates from the top index down; k-subsets are the first k slots of a
+partial Fisher-Yates over the palette, sorted.
+
+Bulk draws are the same stream, mixed in 128-bit lanes.  The i-th state
+after s is s + i*gamma mod 2^64, so ``SplitMix64.draws`` writes up to 1024
+of them into one integer, one lane each, and runs every step of the mix as
+one whole-integer operation under a lane mask that keeps the low 64 bits
+of each lane.  Lanes cannot mix:
+
+- after each mask a lane holds z < 2^64, so z * MIX < 2^128 fits its lane;
+- a right shift of at most 31 bits moves the next lane's bits to bit 97 or
+  higher of this lane, where the mask clears them (after the last shift
+  they stay there, as only the low 64 bits of a lane are read);
+- the initial lane, s plus (i*gamma mod 2^64), is below 2^65.
+
+The lanes are packed and read little-endian on every host, so the streams
+do not depend on the platform.  A call is mixed in blocks of at most 1024
+lanes: one integer for a whole long call costs memory in proportion to
+its length, and 1024 lanes was also the fastest block size measured.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple, Union
+import sys
+from array import array
+from itertools import chain
+from operator import eq
+from typing import Iterable, Iterator, List, Tuple, Union
 
 from .conflict import ListAssignment
 from .errors import BadSize, Infeasible, InternalInvariant, UnknownName
 from .graph import PART_A, PART_B, BipartiteGraph, Multigraph, build_multigraph
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+_LANES = 1024  # lanes per block
+_BIG_ENDIAN = sys.byteorder == "big"
+if array("Q").itemsize != 8:
+    raise ImportError("strongcolor.generate needs 8-byte array('Q') items")
+
+
+def _pack(words) -> int:
+    """One 128-bit lane per 64-bit word, lane 0 lowest."""
+    words = array("Q", words)
+    lanes = array("Q", bytes(16 * len(words)))
+    lanes[::2] = words
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
+# lane i of a full block: (i+1)*gamma mod 2^64, 1, and the low-64-bit mask
+_STEPS = _pack((i * _GAMMA) & _MASK64 for i in range(1, _LANES + 1))
+_ONES = _pack([1] * _LANES)
+_LOW = _pack([_MASK64] * _LANES)
+
+
+def _mix_lanes(state: int, n: int) -> array:
+    """The n outputs after ``state``, one block of n <= 1024 lanes."""
+    steps, ones, low = _STEPS, _ONES, _LOW
+    if n < _LANES:
+        keep = (1 << (128 * n)) - 1
+        steps, ones, low = steps & keep, ones & keep, low & keep
+    z = (state * ones + steps) & low
+    z = ((z ^ (z >> 30)) & low) * _MIX1 & low
+    z = ((z ^ (z >> 27)) & low) * _MIX2 & low
+    z ^= z >> 31  # no mask: the next lane's bits land in the high half, never read
+    lanes = array("Q")
+    lanes.frombytes(z.to_bytes(16 * n, "little"))
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return lanes[::2]
+
+
+def _check_subset(k: int, palette: int) -> None:
+    if not 0 <= k <= palette:
+        raise BadSize(f"cannot draw {k} distinct colors from a palette of {palette}")
+
+
+def _pick(k: int, palette: int, zs: Iterator[int]) -> Tuple[int, ...]:
+    """The first k slots of a partial Fisher-Yates over {0..palette-1},
+    sorted, drawing from ``zs``.  ``moved`` holds only the displaced slots,
+    so time and memory go with k, not with the palette."""
+    moved: dict = {}
+    picked = []
+    for i, z in zip(range(k), zs):
+        j = i + z % (palette - i)
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    picked.sort()
+    return tuple(picked)
 
 
 class SplitMix64:
     """The pinned 64-bit generator; same seed, same stream, everywhere."""
 
-    _GAMMA = 0x9E3779B97F4A7C15
-    _MIX1 = 0xBF58476D1CE4E5B9
-    _MIX2 = 0x94D049BB133111EB
-
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + self._GAMMA) & _MASK64
+        """One output by the scalar formula: the reference for ``draws``."""
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * self._MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * self._MIX2) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def draws(self, count: int) -> Iterator[int]:
+        """The next ``count`` outputs, equal to ``count`` calls of ``next_u64``.
+
+        The state advances by ``count`` at the call; the iterator mixes one
+        block of at most 1024 lanes at a time.  For a single draw
+        ``next_u64`` is cheaper.
+        """
+        if count < 0:
+            raise BadSize(f"cannot make {count} draws")
+        start = self._state
+        self._state = (start + count * _GAMMA) & _MASK64
+        return chain.from_iterable(
+            _mix_lanes((start + i * _GAMMA) & _MASK64, min(_LANES, count - i))
+            for i in range(0, count, _LANES)
+        )
 
     def below(self, n: int) -> int:
         if n <= 0:
@@ -47,19 +141,15 @@ class SplitMix64:
         return self.next_u64() % n
 
     def shuffle(self, xs: list) -> None:
-        for i in range(len(xs) - 1, 0, -1):
-            j = self.below(i + 1)
+        top = len(xs) - 1
+        for i, z in zip(range(top, 0, -1), self.draws(max(top, 0))):
+            j = z % (i + 1)
             xs[i], xs[j] = xs[j], xs[i]
 
     def subset(self, k: int, palette: int) -> Tuple[int, ...]:
         """A uniform k-subset of {0..palette-1}, returned sorted."""
-        if not 0 <= k <= palette:
-            raise BadSize(f"cannot draw {k} distinct colors from a palette of {palette}")
-        pool = list(range(palette))
-        for i in range(k):
-            j = i + self.below(palette - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return tuple(sorted(pool[:k]))
+        _check_subset(k, palette)
+        return _pick(k, palette, self.draws(k))
 
 
 def random_cubic(n: int, seed: int) -> Multigraph:
@@ -68,13 +158,14 @@ def random_cubic(n: int, seed: int) -> Multigraph:
     if n < 4 or n % 2 != 0:
         raise BadSize(f"cubic graphs need an even vertex count >= 4, got {n}")
     rng = SplitMix64(seed)
+    unshuffled = [v for v in range(n) for _ in range(3)]
     for _ in range(1000):
-        stubs = [v for v in range(n) for _ in range(3)]
+        stubs = unshuffled.copy()
         rng.shuffle(stubs)
-        pairs = list(zip(stubs[0::2], stubs[1::2]))
-        if any(u == v for u, v in pairs):
+        us, vs = stubs[0::2], stubs[1::2]
+        if any(map(eq, us, vs)):
             continue
-        return build_multigraph(n, pairs)
+        return build_multigraph(n, list(zip(us, vs)))
     raise InternalInvariant("loop-free pairing not found in 1000 attempts")
 
 
@@ -92,7 +183,7 @@ def random_23_bipartite(nA: int, nB: int, seed: int) -> BipartiteGraph:
         raise Infeasible(f"2*{nA} A-stubs cannot fit into 3*{nB} B-slots")
     rng = SplitMix64(seed)
     for _ in range(1000):
-        degs = [rng.below(3) for _ in range(nA)]
+        degs = [z % 3 for z in rng.draws(nA)]
         slots = [nA + b for b in range(nB) for _ in range(3)]
         rng.shuffle(slots)
         pairs = []
@@ -114,13 +205,13 @@ def random_lists(edge_ids: Iterable[int], k: int, palette: int, seed: int) -> Li
     from a set, which CPython sizes at twice its length rather than the
     four times of a frozenset grown element by element.
     """
-    if k > palette:
-        raise BadSize(f"list size {k} exceeds palette {palette}")
-    rng = SplitMix64(seed)
+    _check_subset(k, palette)
+    edges = sorted(edge_ids)
+    zs = SplitMix64(seed).draws(k * len(edges))
     shared: dict = {}  # each drawn subset, a sorted tuple -> its one frozenset
     lists = {}
-    for e in sorted(edge_ids):
-        draw = rng.subset(k, palette)
+    for e in edges:
+        draw = _pick(k, palette, zs)
         lst = shared.get(draw)
         if lst is None:
             lst = shared[draw] = frozenset(set(draw))

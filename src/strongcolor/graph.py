@@ -11,6 +11,7 @@ All types are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -66,9 +67,11 @@ class Multigraph:
         return max(map(len, self.inc), default=0)
 
     def incidences(self) -> Iterator[Incidence]:
-        for e, (u, v) in enumerate(self.edges):
-            yield Incidence(u, e)
-            yield Incidence(v, e)
+        """(u, e) then (v, e) for each edge e = uv, in edge id order."""
+        ids = range(len(self.edges))
+        # tuple.__new__ builds each key in C; Incidence(...) runs a Python __new__
+        return map(tuple.__new__, repeat(Incidence),
+                   zip(chain.from_iterable(self.edges), chain.from_iterable(zip(ids, ids))))
 
     def __repr__(self) -> str:
         return f"Multigraph(n={self.vertex_count}, m={self.edge_count})"

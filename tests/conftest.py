@@ -52,6 +52,16 @@ def kept(build) -> tuple:
         tracemalloc.stop()
 
 
+def peak(build) -> tuple:
+    """``(peak bytes allocated, result)`` of ``build()``, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
 def brute_girth(g: sc.Multigraph):
     """Length of a shortest cycle by exhaustive walk enumeration (small graphs)."""
     best = None

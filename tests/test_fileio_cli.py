@@ -612,6 +612,11 @@ class TestCliStress:
         assert sum(descents) > 0
         assert f" descents={sum(descents)} wall=" in capsys.readouterr().out
 
+    def test_huge_palette(self, capsys):
+        # lists are drawn without a table of the palette
+        assert cli.main(["stress", "--count", "2", "--size", "10", "--palette", str(10**12)]) == 0
+        assert "ok=2 rate=100.0%" in capsys.readouterr().out
+
     def test_cubic_family(self):
         r = run_cli("stress", "--count", 20, "--seed", 3, "--size", 10, "--family", "cubic")
         assert r.returncode == 0, r.stdout + r.stderr

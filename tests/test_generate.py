@@ -1,12 +1,11 @@
 import hashlib
-import tracemalloc
 
 import pytest
 
 import strongcolor as sc
 from strongcolor.generate import SplitMix64
 
-from conftest import kept
+from conftest import kept, peak
 
 
 class TestSplitMix64:
@@ -36,6 +35,59 @@ class TestSplitMix64:
             s = rng.subset(6, 12)
             assert len(s) == 6 and list(s) == sorted(set(s))
             assert all(0 <= c < 12 for c in s)
+
+
+def _scalar_subset(rng, k, palette):
+    """The list-based partial Fisher-Yates on scalar draws."""
+    pool = list(range(palette))
+    for i in range(k):
+        j = i + rng.below(palette - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(sorted(pool[:k]))
+
+
+class TestDraws:
+    """``draws`` mixes in lanes; ``next_u64`` is the scalar reference."""
+
+    @pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 2, 1023, 1024, 1025, 2049, 5000])
+    def test_equals_scalar_stream(self, seed, n):
+        bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+        zs = bulk.draws(n)
+        assert bulk._state == (seed + n * 0x9E3779B97F4A7C15) % 2**64  # advanced at the call
+        assert list(zs) == [scalar.next_u64() for _ in range(n)]
+        assert bulk._state == scalar._state
+        assert bulk.next_u64() == scalar.next_u64()
+
+    def test_blocks_bound_memory(self):
+        def consume():
+            for _ in SplitMix64(5).draws(200_000):
+                pass
+
+        # one integer for the whole call would hold 200,000 16-byte lanes
+        assert peak(consume)[0] < 256 * 1024
+
+    def test_negative_count(self):
+        with pytest.raises(sc.BadSize):
+            SplitMix64(1).draws(-1)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1025, 3000])
+    def test_shuffle_equals_scalar_fisher_yates(self, n):
+        xs, ys = list(range(n)), list(range(n))
+        bulk, scalar = SplitMix64(n), SplitMix64(n)
+        bulk.shuffle(xs)
+        for i in range(n - 1, 0, -1):
+            j = scalar.below(i + 1)
+            ys[i], ys[j] = ys[j], ys[i]
+        assert xs == ys and bulk._state == scalar._state
+
+    @pytest.mark.parametrize("palette", range(1, 41))
+    def test_subset_equals_list_form(self, palette):
+        for k in sorted({0, 1, palette // 2, palette - 1, palette}):
+            for seed in range(5):
+                sparse, listed = SplitMix64(seed), SplitMix64(seed)
+                assert sparse.subset(k, palette) == _scalar_subset(listed, k, palette)
+                assert sparse._state == listed._state
 
 
 def _digest(obj) -> str:
@@ -195,14 +247,6 @@ class TestRandomLists:
         assert len({id(v) for v in L.values()}) == len(set(L.values()))
 
     def test_shared_lists_keep_less_memory(self):
-        def kept(build):
-            tracemalloc.start()
-            try:
-                lists = build()
-                return tracemalloc.get_traced_memory()[0], lists
-            finally:
-                tracemalloc.stop()
-
         shared, L = kept(lambda: sc.random_lists(range(6000), 6, 8, 5))
         per_edge, ref = kept(lambda: self.reference(range(6000), 6, 8, 5))
         assert L == ref
@@ -215,6 +259,17 @@ class TestRandomLists:
         distinct = len({id(lst) for lst in L.values()})
         assert distinct == 28
         assert lists - keys <= 500 * distinct
+
+    @pytest.mark.parametrize("k, palette", [(0, 1), (1, 1), (3, 3), (6, 8), (6, 40), (20, 40)])
+    def test_equals_list_form(self, k, palette):
+        L = sc.random_lists(range(200), k, palette, palette)
+        rng = SplitMix64(palette)
+        assert L == {e: frozenset(_scalar_subset(rng, k, palette)) for e in range(200)}
+
+    def test_huge_palette_costs_nothing_per_color(self):
+        most, L = peak(lambda: sc.random_lists(range(3), 6, 10**12, 1))
+        assert all(len(c) == 6 and max(c) < 10**12 for c in L.values())
+        assert most < 64 * 1024
 
     def test_list_bigger_than_palette(self):
         with pytest.raises(sc.BadSize):
