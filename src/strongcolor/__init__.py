@@ -57,7 +57,9 @@ from .oracle import (
 )
 from .generate import (
     SplitMix64,
+    disjoint_union,
     fixture_names,
+    generalized_petersen,
     named,
     random_23_bipartite,
     random_cubic,

@@ -17,15 +17,16 @@ from typing import Collection, Dict, Iterable, Mapping, Optional
 from .graph import BipartiteGraph, Incidence, Multigraph
 
 
-# A list assignment L maps each edge id (or incidence) to its frozenset of
-# colors L(e); colors are non-negative integers.  Equal lists may be one
-# shared frozenset, so a list is never mutated in place.
+# A list assignment L maps each edge id (or incidence) to its color list
+# L(e), a collection of distinct non-negative integers.  The builders give
+# ascending tuples, one object per distinct list; readers use only len, in,
+# iteration, set() and sorted(), so frozensets work as well.
 ListAssignment = dict
 
 
 def uniform_lists(keys: Iterable, k: int) -> ListAssignment:
-    """Identical lists {1..k} on the given edge ids or incidences."""
-    palette = frozenset(range(1, k + 1))
+    """Identical lists (1, ..., k) on the given edge ids or incidences."""
+    palette = tuple(range(1, k + 1))
     return {key: palette for key in keys}
 
 

@@ -253,21 +253,21 @@ def lists_to_text(lists: Mapping, incidence: bool = False) -> str:
 
 
 def lists_from_text(text: str, incidence: bool = False) -> dict:
-    """The lists of one document; equal lists share one frozenset."""
+    """The lists of one document, each an ascending tuple of its distinct
+    colors; equal lists share one tuple."""
     doc = _load(text)
     body = doc.get("lists")
     if not isinstance(body, dict):
         raise FormatError("missing lists object")
-    shared: dict = {}  # each distinct list -> its one frozenset
+    shared: dict = {}  # each distinct list -> its first tuple
     keyed = {}
     for key, v in zip(_parse_keys(body, incidence), body.values()):
         if type(v) is not list:
             raise FormatError(f"list of {key} must be a list, got {_JSON_NAMES[type(v)]}")
-        colors = frozenset({_int(c, "a color") for c in v})  # sized as a copy of a set
+        colors = tuple(sorted({_int(c, "a color") for c in v}))
+        if colors and colors[0] < 0:
+            raise FormatError(f"list of {key} holds a negative color {colors[0]}")
         keyed[key] = shared.setdefault(colors, colors)
-    for key, colors in keyed.items():
-        if colors and min(colors) < 0:
-            raise FormatError(f"list of {key} holds a negative color {min(colors)}")
     return keyed
 
 

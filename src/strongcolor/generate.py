@@ -200,23 +200,42 @@ def random_23_bipartite(nA: int, nB: int, seed: int) -> BipartiteGraph:
 def random_lists(edge_ids: Iterable[int], k: int, palette: int, seed: int) -> ListAssignment:
     """Independent uniform k-subsets of {0..palette-1}, one per edge.
 
-    Equal draws share one frozenset, so the lists take memory per distinct
-    subset (at most 28 for 6 of 8 colors), not per edge.  Each is copied
-    from a set, which CPython sizes at twice its length rather than the
-    four times of a frozenset grown element by element.
+    Each list is the sorted tuple the draw gives, and equal draws share one
+    tuple, so the lists take memory per distinct subset (at most 28 for 6
+    of 8 colors), not per edge.
     """
     _check_subset(k, palette)
     edges = sorted(edge_ids)
     zs = SplitMix64(seed).draws(k * len(edges))
-    shared: dict = {}  # each drawn subset, a sorted tuple -> its one frozenset
+    shared: dict = {}  # each distinct draw -> its first tuple
     lists = {}
     for e in edges:
         draw = _pick(k, palette, zs)
-        lst = shared.get(draw)
-        if lst is None:
-            lst = shared[draw] = frozenset(set(draw))
-        lists[e] = lst
+        lists[e] = shared.setdefault(draw, draw)
     return lists
+
+
+def generalized_petersen(n: int, k: int) -> Multigraph:
+    """GP(n, k): the outer n-cycle, the spokes i -- n+i, and the inner
+    cycle joining n+i to n+(i+k) mod n, in that edge order.  It is cubic
+    and simple for 1 <= k < n/2; GP(5, 2) is the Petersen graph."""
+    if k < 1 or 2 * k >= n:
+        raise BadSize(f"GP(n, k) needs 1 <= k < n/2, got n={n}, k={k}")
+    outer = [(i, (i + 1) % n) for i in range(n)]
+    spokes = [(i, n + i) for i in range(n)]
+    inner = [(n + i, n + (i + k) % n) for i in range(n)]
+    return build_multigraph(2 * n, outer + spokes + inner)
+
+
+def disjoint_union(graphs: Iterable[BipartiteGraph]) -> BipartiteGraph:
+    """The graphs side by side, vertex ids offset in the order given; each
+    vertex keeps its part, and edge ids follow in the same order."""
+    pairs, part_of = [], []
+    for b in graphs:
+        off = len(part_of)
+        pairs += [(u + off, v + off) for u, v in b.graph.edges]
+        part_of += b.part_of
+    return BipartiteGraph(build_multigraph(len(part_of), pairs), part_of)
 
 
 def _k23() -> BipartiteGraph:

@@ -200,9 +200,10 @@ class SubdivisionMap:
         return {Incidence(w, i // 2): i for i, (w, _) in enumerate(self.bipartite.graph.edges)}
 
     def edge_lists(self, inc_lists: Mapping) -> dict:
-        """Edge id -> the color list of its incidence; a missing list is empty."""
+        """Edge id -> the color list of its incidence, the caller's own
+        object; a missing list is ``()``."""
         return {
-            i: frozenset(inc_lists.get((w, i // 2), ()))
+            i: inc_lists.get((w, i // 2), ())
             for i, (w, _) in enumerate(self.bipartite.graph.edges)
         }
 

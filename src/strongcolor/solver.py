@@ -84,7 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .conflict import (
     ListAssignment,
@@ -754,7 +754,7 @@ def color_strong_23(
     return pc, stats
 
 
-def uniform_incidence_lists(g: Multigraph, k: int) -> Dict[Incidence, FrozenSet[int]]:
+def uniform_incidence_lists(g: Multigraph, k: int) -> Dict[Incidence, Tuple[int, ...]]:
     return uniform_lists(g.incidences(), k)
 
 

@@ -198,16 +198,6 @@ def odd_path_lists(rng, n: int, palette: int) -> list:
     return lists
 
 
-def disjoint_union(graphs) -> sc.BipartiteGraph:
-    """The graphs side by side, vertex ids offset in the order given."""
-    pairs, part_of = [], []
-    for b in graphs:
-        off = len(part_of)
-        pairs += [(u + off, v + off) for u, v in b.graph.edges]
-        part_of += b.part_of
-    return sc.BipartiteGraph(sc.build_multigraph(len(part_of), pairs), part_of)
-
-
 def bridged_cubic(g1: sc.Multigraph, g2: sc.Multigraph, e1: int, e2: int) -> sc.Multigraph:
     """A cubic multigraph with a bridge at its lowest vertex.
 

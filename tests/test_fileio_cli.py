@@ -135,7 +135,7 @@ class TestListsAndColoringFiles:
             fileio.lists_from_text(text)
         assert str(err.value) == f"list of 0 must be a list, got {kind}"
 
-    def test_equal_lists_share_one_frozenset(self):
+    def test_equal_lists_share_one_tuple(self):
         L = sc.random_lists(range(400), 6, 8, 4)
         for incidence in (False, True):
             if incidence:
@@ -166,7 +166,7 @@ class TestListsAndColoringFiles:
             fileio.write_text(str(tmp_path / "missing" / "x.json"), "{}")
 
     def test_incidence_lists_round_trip(self):
-        lists = {Incidence(0, 1): frozenset({1, 2, 3}), Incidence(2, 1): frozenset({4, 5})}
+        lists = {Incidence(0, 1): (1, 2, 3), Incidence(2, 1): (4, 5)}
         text = fileio.lists_to_text(lists, incidence=True)
         back = fileio.lists_from_text(text, incidence=True)
         assert back == lists

@@ -220,7 +220,7 @@ class TestRandom23Bipartite:
 class TestRandomLists:
     def test_full_palette(self):
         L = sc.random_lists(range(4), 6, 6, 0)
-        assert all(L[e] == frozenset(range(6)) for e in range(4))
+        assert all(L[e] == tuple(range(6)) for e in range(4))
 
     def test_size_six_of_twelve(self):
         L = sc.random_lists(range(10), 6, 12, 1)
@@ -231,9 +231,9 @@ class TestRandomLists:
 
     @staticmethod
     def reference(edge_ids, k, palette, seed):
-        """The first form: one frozenset per edge."""
+        """The first form: one list per edge."""
         rng = SplitMix64(seed)
-        return {e: frozenset(rng.subset(k, palette)) for e in sorted(edge_ids)}
+        return {e: rng.subset(k, palette) for e in sorted(edge_ids)}
 
     @pytest.mark.parametrize(
         "k, palette, seed", [(6, 7, 1), (6, 8, 7), (6, 12, 3), (0, 4, 2), (3, 3, 5), (8, 40, 11)]
@@ -249,22 +249,40 @@ class TestRandomLists:
     def test_shared_lists_keep_less_memory(self):
         shared, L = kept(lambda: sc.random_lists(range(6000), 6, 8, 5))
         per_edge, ref = kept(lambda: self.reference(range(6000), 6, 8, 5))
+        keys, _ = kept(lambda: {e: None for e in sorted(range(6000))})  # the dict and keys alone
         assert L == ref
-        assert shared < per_edge / 2
+        # a 6-tuple per edge weighs less than the dict, so compare the lists alone
+        assert shared - keys < (per_edge - keys) / 10
 
-    def test_distinct_lists_take_at_most_500_bytes(self):
+    def test_distinct_lists_take_at_most_128_bytes(self):
         sc.random_lists(range(6000), 6, 8, 5)  # fill the interpreter's free lists untraced
         lists, L = kept(lambda: sc.random_lists(range(6000), 6, 8, 5))
         keys, _ = kept(lambda: {e: None for e in sorted(range(6000))})  # the dict and keys alone
         distinct = len({id(lst) for lst in L.values()})
         assert distinct == 28
-        assert lists - keys <= 500 * distinct
+        assert lists - keys <= 128 * distinct
+
+    def test_pool_of_small_calls_keeps_under_half_of_frozensets(self):
+        """200 calls of 60 edges, as a pool of small instances makes them,
+        against the same lists as one frozenset per distinct list per call."""
+
+        def one_frozenset_per_list(L):
+            shared = {}
+            return {e: shared.setdefault(lst, frozenset(set(lst))) for e, lst in L.items()}
+
+        def pool(convert):
+            return [convert(sc.random_lists(range(60), 6, 8, s)) for s in range(200)]
+
+        tuples, as_tuples = kept(lambda: pool(lambda L: L))
+        frozensets, as_frozensets = kept(lambda: pool(one_frozenset_per_list))
+        assert [{e: frozenset(c) for e, c in L.items()} for L in as_tuples] == as_frozensets
+        assert tuples < frozensets / 2
 
     @pytest.mark.parametrize("k, palette", [(0, 1), (1, 1), (3, 3), (6, 8), (6, 40), (20, 40)])
     def test_equals_list_form(self, k, palette):
         L = sc.random_lists(range(200), k, palette, palette)
         rng = SplitMix64(palette)
-        assert L == {e: frozenset(_scalar_subset(rng, k, palette)) for e in range(200)}
+        assert L == {e: _scalar_subset(rng, k, palette) for e in range(200)}
 
     def test_huge_palette_costs_nothing_per_color(self):
         most, L = peak(lambda: sc.random_lists(range(3), 6, 10**12, 1))
@@ -281,6 +299,44 @@ class TestRandomLists:
             sc.random_lists(range(3), -1, 3, 1)
         with pytest.raises(sc.BadSize):
             SplitMix64(1).subset(-1, 3)
+
+
+class TestGeneralizedPetersen:
+    def test_gp_5_2_is_petersen(self):
+        gp, petersen = sc.generalized_petersen(5, 2), sc.named("petersen")
+        assert gp.vertex_count == petersen.vertex_count
+        assert gp.edges == petersen.edges
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (5, 1), (7, 3), (8, 3), (12, 5), (1000, 37)])
+    def test_cubic_and_simple(self, n, k):
+        g = sc.generalized_petersen(n, k)
+        assert g.vertex_count == 2 * n and g.edge_count == 3 * n
+        assert all(g.degree(v) == 3 for v in range(2 * n))
+        assert len(set(map(frozenset, g.edges))) == 3 * n
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (4, 2), (6, 3), (7, 0), (7, -1), (7, 4)])
+    def test_outside_range(self, n, k):
+        with pytest.raises(sc.BadSize):
+            sc.generalized_petersen(n, k)
+
+
+class TestDisjointUnion:
+    def test_offsets_ids_and_keeps_parts(self):
+        parts = [sc.named("k23"), sc.subdivide(sc.named("k4")).bipartite, sc.named("k23")]
+        b = sc.disjoint_union(parts)
+        assert isinstance(b, sc.BipartiteGraph)
+        off, edges, part_of = 0, [], []
+        for p in parts:
+            edges += [(u + off, v + off) for u, v in p.graph.edges]
+            part_of += p.part_of
+            off += p.graph.vertex_count
+        assert b.graph.vertex_count == off
+        assert list(b.graph.edges) == edges
+        assert list(b.part_of) == part_of
+
+    def test_empty(self):
+        b = sc.disjoint_union([])
+        assert b.graph.vertex_count == 0 and b.graph.edge_count == 0
 
 
 class TestNamed:

@@ -115,7 +115,7 @@ class TestPrecolorFivePath:
         for trial in range(200):
             palette = 6 + rng.below(3)
             L = sc.random_lists(range(b.graph.edge_count), 6, palette, rng.next_u64())
-            pc = PartialColoring({7: min(L[7]), 4: max(L[4] - {min(L[7])})})
+            pc = PartialColoring({7: min(L[7]), 4: max(set(L[4]) - {min(L[7])})})
             sc.precolor_five_path(L, pc, cfg, b, SolveStats())
             assert sorted(pc.assigned) == [0, 3, 4, 7, 8, 9]
             assert sc.verify_strong(b, L, pc) == []

@@ -7,7 +7,7 @@ import pytest
 
 import strongcolor as sc
 from strongcolor import ListAssignment, PartialColoring, PeelState, SolveStats, oracle, solver
-from strongcolor.generate import SplitMix64
+from strongcolor.generate import SplitMix64, disjoint_union
 from strongcolor.graph import components
 
 from conftest import (
@@ -15,7 +15,6 @@ from conftest import (
     c4_gadget,
     c6_gadget,
     cycle_gadget,
-    disjoint_union,
     rand_b23,
 )
 from test_golden import _generalized_petersen
