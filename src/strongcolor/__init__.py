@@ -1,19 +1,15 @@
 """Strong list edge-coloring of (2,3)-bipartite graphs with 6-lists and
 incidence coloring of loopless subcubic multigraphs with 6 colors.
 
-The public surface re-exports the graph types, the conflict relation and
-verifiers, the matching engine, the constructive solver, the exhaustive
-oracle, and the seeded generators.
+The package root exports the supported API: the two solvers and their
+verifiers, the graph and list types, the path procedures, the oracle, the
+generators and the errors.  Internals are imported from their modules.
 """
 
 from .conflict import (
-    ConflictGraph,
     ListAssignment,
     PartialColoring,
     Violation,
-    available,
-    build_conflict_graph,
-    conflict_edges,
     uniform_lists,
     verify_incidence,
     verify_strong,
@@ -38,17 +34,13 @@ from .graph import (
     PART_A,
     PART_B,
     BipartiteGraph,
-    CycleDescriptor,
     Incidence,
     Multigraph,
     SubdivisionMap,
     build_multigraph,
-    components,
     infer_parts,
-    shortest_cycle,
     subdivide,
 )
-from .matching import max_matching, rainbow_sdr
 from .oracle import (
     OracleBudget,
     backtrack_color,
@@ -68,16 +60,10 @@ from .generate import (
 from .solver import (
     FivePathConfig,
     OddPathConfig,
-    PeelState,
     SolveStats,
     color_incidence,
     color_odd_path,
     color_strong_23,
-    extend_c4,
-    extend_c6,
-    extend_long_cycle,
-    greedy_unwind,
-    peel,
     precolor_five_path,
     uniform_incidence_lists,
 )

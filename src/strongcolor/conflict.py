@@ -38,9 +38,6 @@ class PartialColoring:
     def __init__(self, assigned: Optional[Mapping[int, int]] = None):
         self.assigned: Dict[int, int] = dict(assigned or {})
 
-    def set(self, e: int, color: int) -> None:
-        self.assigned[e] = color
-
 
 @dataclass(frozen=True)
 class ConflictGraph:

@@ -243,13 +243,6 @@ def _k23() -> BipartiteGraph:
     return BipartiteGraph(g, [PART_A, PART_A, PART_A, PART_B, PART_B])
 
 
-def _petersen() -> Multigraph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return build_multigraph(10, outer + spokes + inner)
-
-
 def _heawood() -> Multigraph:
     rim = [(i, (i + 1) % 14) for i in range(14)]
     chords = [(0, 5), (2, 7), (4, 9), (6, 11), (8, 13), (10, 1), (12, 3)]
@@ -265,7 +258,7 @@ _FIXTURES = {
     # cubic multigraph whose subdivision is (2,3)-biregular with girth 4
     # and distinct pendants around the short cycles
     "domino": lambda: build_multigraph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)]),
-    "petersen": _petersen,
+    "petersen": lambda: generalized_petersen(5, 2),
     "heawood": _heawood,
     "p4": lambda: build_multigraph(4, [(0, 1), (1, 2), (2, 3)]),
     "p5": lambda: build_multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),

@@ -84,6 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .conflict import (
@@ -481,7 +482,7 @@ class _Region:
         if e not in self.avail or color not in self.avail[e]:
             raise InternalInvariant(f"color {color} unavailable for edge {e}")
         del self.avail[e]
-        self.pc.set(e, color)
+        self.pc.assigned[e] = color
         for f in conflict_walk(self.b, e):
             if f in self.avail:
                 self.avail[f].discard(color)
@@ -709,6 +710,22 @@ def extend_long_cycle(
 # the full solver
 
 
+def _check_list_sizes(what: str, keys: Iterable, lists: Sequence) -> None:
+    """Raise ListTooSmall naming the first key whose list has fewer than 6
+    distinct colors.  Equal lists count alike, so ``set`` finds the distinct
+    lists in C and each is counted once; unhashable lists are counted one
+    by one."""
+    try:
+        distinct = set(lists)
+    except TypeError:
+        distinct = lists
+    if any(len(set(lst)) < 6 for lst in distinct):
+        for key, lst in zip(keys, lists):
+            size = len(set(lst))
+            if size < 6:
+                raise ListTooSmall(f"{what} {key} has a list of {size} distinct colors, need 6")
+
+
 def color_strong_23(
     b: BipartiteGraph, L: ListAssignment
 ) -> Tuple[PartialColoring, SolveStats]:
@@ -722,10 +739,8 @@ def color_strong_23(
     """
     b.validate_23()
     g = b.graph
-    for e in range(g.edge_count):
-        size = len(L.get(e, ()))
-        if size < 6:
-            raise ListTooSmall(f"edge {e} has a list of size {size}, need 6")
+    m = g.edge_count
+    _check_list_sizes("edge", range(m), list(map(L.get, range(m), repeat(()))))
     stats = SolveStats()
     state = PeelState.for_graph(b)
     deg = state.deg
@@ -772,9 +787,7 @@ def color_incidence(
     sub = subdivide(g)
     lists = sub.edge_lists(L)
     incs = list(g.incidences())  # incs[i] is edge i of the subdivision
-    for inc, lst in zip(incs, lists.values()):
-        if len(lst) < 6:
-            raise ListTooSmall(f"incidence {inc} has a list of size {len(lst)}, need 6")
+    _check_list_sizes("incidence", incs, list(lists.values()))
     # color_strong_23 verifies its result, and incidence adjacency is strong
     # adjacency in the subdivision, so the transported coloring needs no
     # second check

@@ -8,6 +8,7 @@ import time
 
 import strongcolor as sc
 from strongcolor import ListAssignment, SolveStats, fileio
+from strongcolor.conflict import available
 from strongcolor.generate import SplitMix64
 from strongcolor.solver import _FIVE_SIZES
 
@@ -105,8 +106,8 @@ def test_criterion_5_path_procedure_suites():
         )
         pc = sc.precolor_five_path(L, sc.PartialColoring(), cfg, b5, sc.SolveStats())
         assert sc.verify_strong(b5, L, pc) == []
-        assert len(sc.available(cfg.edges[1], L, pc, b5)) >= 3  # vw
-        assert len(sc.available(cfg.edges[2], L, pc, b5)) >= 2  # wx
+        assert len(available(cfg.edges[1], L, pc, b5)) >= 3  # vw
+        assert len(available(cfg.edges[2], L, pc, b5)) >= 2  # wx
     _report(5, "five-path precoloring: 10000/10000 draws meet the 3/2 residual bound")
 
     for n in (5, 7, 9, 11):

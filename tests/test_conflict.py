@@ -4,10 +4,9 @@ import pytest
 
 import strongcolor as sc
 from strongcolor import Incidence, PartialColoring
-from strongcolor.conflict import conflict_walk
+from strongcolor.conflict import available, build_conflict_graph, conflict_edges, conflict_walk
 
 from conftest import brute_conflicts, incidence_adjacent, pair_adjacency, rand_b23
-from test_golden import _generalized_petersen
 
 
 def path_graph(n):
@@ -23,18 +22,18 @@ def _frozen_conflict_walk(adj, edges, e):
 class TestConflictEdges:
     def test_path_second_neighborhood(self):
         b = path_graph(4)  # edges 0: a-b, 1: b-c, 2: c-d
-        assert sc.conflict_edges(b, 0) == {1, 2}
+        assert conflict_edges(b, 0) == {1, 2}
 
     def test_k23_all_pairs(self, k23):
         for e in range(6):
-            got = sc.conflict_edges(k23, e)
+            got = conflict_edges(k23, e)
             assert got == brute_conflicts(k23, e)
             assert got == set(range(6)) - {e}
 
     def test_disjoint_edges_no_conflict(self):
         g = sc.build_multigraph(4, [(0, 1), (2, 3)])
         b = sc.BipartiteGraph(g, ["A", "B", "A", "B"])
-        assert sc.conflict_edges(b, 0) == set()
+        assert conflict_edges(b, 0) == set()
 
     def test_matches_frozen_pair_walk_on_random_subdivisions(self):
         rng = sc.SplitMix64(33)
@@ -45,27 +44,27 @@ class TestConflictEdges:
             for e in range(g.edge_count):
                 walk = _frozen_conflict_walk(adj, g.edges, e)
                 assert conflict_walk(b, e) == walk
-                assert sc.conflict_edges(b, e) == set(walk)
+                assert conflict_edges(b, e) == set(walk)
 
     def test_bad_edge_id(self, k23):
         with pytest.raises(sc.BadEdgeId):
-            sc.conflict_edges(k23, 99)
+            conflict_edges(k23, 99)
 
 
 class TestBuildConflictGraph:
     def test_p4_is_triangle(self):
-        cg = sc.build_conflict_graph(path_graph(4))
+        cg = build_conflict_graph(path_graph(4))
         assert [cg[e] for e in range(3)] == [(1, 2), (0, 2), (0, 1)]
 
     def test_c8_four_each(self):
         b = sc.infer_parts(sc.named("c8"))
-        cg = sc.build_conflict_graph(b)
+        cg = build_conflict_graph(b)
         for e in range(8):
             assert len(cg[e]) == 4
             assert set(cg[e]) == brute_conflicts(b, e)
 
     def test_k23_is_k6(self, k23):
-        cg = sc.build_conflict_graph(k23)
+        cg = build_conflict_graph(k23)
         assert all(len(cg[e]) == 5 for e in range(6))
 
     def test_symmetry_and_bound_on_corpus(self):
@@ -75,9 +74,9 @@ class TestBuildConflictGraph:
             if isinstance(g, sc.Multigraph):  # parallel edges included
                 corpus.append(sc.subdivide(g).bipartite)
         for n, k in ((5, 2), (7, 3), (12, 5), (13, 5)):
-            corpus.append(sc.subdivide(_generalized_petersen(n, k)).bipartite)
+            corpus.append(sc.subdivide(sc.generalized_petersen(n, k)).bipartite)
         for b in corpus:
-            cg = sc.build_conflict_graph(b)
+            cg = build_conflict_graph(b)
             for e in range(b.graph.edge_count):
                 assert set(cg[e]) == brute_conflicts(b, e)
                 assert len(cg[e]) <= 7
@@ -112,32 +111,32 @@ class TestIncidenceAdjacent:
 class TestAvailable:
     def test_no_conflicts_assigned(self, k23):
         L = sc.uniform_lists(range(6), 6)
-        assert sc.available(0, L, PartialColoring(), k23) == set(range(1, 7))
+        assert available(0, L, PartialColoring(), k23) == set(range(1, 7))
 
     def test_two_conflicting_colors_removed(self, k23):
         L = sc.uniform_lists(range(6), 6)
         pc = PartialColoring({1: 1, 2: 2})
-        assert sc.available(0, L, pc, k23) == {3, 4, 5, 6}
+        assert available(0, L, pc, k23) == {3, 4, 5, 6}
 
     def test_own_color_of_an_assigned_edge_is_not_used(self, k23):
         L = sc.uniform_lists(range(6), 6)
         pc = PartialColoring({0: 1, 1: 2})
-        assert sc.available(0, L, pc, k23) == {1, 3, 4, 5, 6}
+        assert available(0, L, pc, k23) == {1, 3, 4, 5, 6}
 
     def test_shrinks_by_at_most_one_per_assignment(self):
         b = sc.subdivide(sc.named("k4")).bipartite
         L = sc.uniform_lists(range(b.graph.edge_count), 6)
         pc = PartialColoring()
-        pc_sizes = {e: len(sc.available(e, L, pc, b)) for e in range(b.graph.edge_count)}
+        pc_sizes = {e: len(available(e, L, pc, b)) for e in range(b.graph.edge_count)}
         for step, e in enumerate(range(b.graph.edge_count)):
-            avail = sc.available(e, L, pc, b)
+            avail = available(e, L, pc, b)
             if not avail:
                 break
-            pc.set(e, min(avail))
+            pc.assigned[e] = min(avail)
             for f in range(b.graph.edge_count):
                 if f in pc.assigned:
                     continue
-                new_size = len(sc.available(f, L, pc, b))
+                new_size = len(available(f, L, pc, b))
                 assert new_size >= pc_sizes[f] - 1
                 pc_sizes[f] = new_size
 
@@ -171,7 +170,7 @@ class TestVerifyStrong:
 
     def test_solve_and_verify_build_no_conflict_graph(self, monkeypatch):
         calls = []
-        build = sc.build_conflict_graph
+        build = build_conflict_graph
 
         def counting(b):
             calls.append(b)
@@ -183,7 +182,7 @@ class TestVerifyStrong:
                 for attr, value in list(vars(module).items()):
                     if value is build:
                         monkeypatch.setattr(module, attr, counting)
-        b = sc.subdivide(_generalized_petersen(7, 2)).bipartite
+        b = sc.subdivide(sc.generalized_petersen(7, 2)).bipartite
         L = sc.uniform_lists(range(b.graph.edge_count), 6)
         pc, _ = sc.color_strong_23(b, L)
         assert sc.verify_strong(b, L, pc, require_total=True) == []
@@ -316,7 +315,7 @@ class TestCorrespondence:
         for name in ("k4", "double-edge", "tree", "petersen"):
             g = sc.named(name)
             sub = sc.subdivide(g)
-            cg = sc.build_conflict_graph(sub.bipartite)
+            cg = build_conflict_graph(sub.bipartite)
             incs = sorted(sub.incidence_to_edge)
             for i1 in incs:
                 e1 = sub.incidence_to_edge[i1]

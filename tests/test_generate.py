@@ -4,6 +4,7 @@ import pytest
 
 import strongcolor as sc
 from strongcolor.generate import SplitMix64
+from strongcolor.graph import shortest_cycle
 
 from conftest import kept, peak
 
@@ -347,11 +348,11 @@ class TestNamed:
 
     def test_k4_subdivision_reaches_six_cycle(self):
         sub = sc.subdivide(sc.named("k4"))
-        assert len(sc.shortest_cycle(sub.bipartite)) == 6
+        assert len(shortest_cycle(sub.bipartite)) == 6
 
     def test_petersen_subdivision_reaches_long_cycle(self):
         sub = sc.subdivide(sc.named("petersen"))
-        assert len(sc.shortest_cycle(sub.bipartite)) == 10
+        assert len(shortest_cycle(sub.bipartite)) == 10
 
     def test_domino_is_cubic_with_girth_two(self):
         g = sc.named("domino")

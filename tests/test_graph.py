@@ -10,7 +10,13 @@ from strongcolor import (
     NotTwoThree,
 )
 from strongcolor.generate import SplitMix64, disjoint_union
-from strongcolor.graph import _carve_cycle, _descriptor_from_cycle, _residual_shortest_cycle
+from strongcolor.graph import (
+    _carve_cycle,
+    _descriptor_from_cycle,
+    _residual_shortest_cycle,
+    components,
+    shortest_cycle,
+)
 
 from conftest import (
     bridged_cubic,
@@ -62,11 +68,11 @@ class TestSubdivide:
         b = sub.bipartite
         assert b.graph.vertex_count == 4 and b.graph.edge_count == 4
         assert len(b.a_vertices()) == 2 and len(b.b_vertices()) == 2
-        assert len(sc.shortest_cycle(b)) == 4
+        assert len(shortest_cycle(b)) == 4
 
     def test_petersen_girth_ten(self):
         sub = sc.subdivide(sc.named("petersen"))
-        desc = sc.shortest_cycle(sub.bipartite)
+        desc = shortest_cycle(sub.bipartite)
         assert len(desc) == 10
         assert len(sub.bipartite.a_vertices()) == 15
 
@@ -86,16 +92,16 @@ class TestSubdivide:
         sub = sc.subdivide(g)
         if name == "domino":
             assert brute_girth(g) == 2
-            assert len(sc.shortest_cycle(sub.bipartite)) == 4
+            assert len(shortest_cycle(sub.bipartite)) == 4
         else:
-            assert len(sc.shortest_cycle(sub.bipartite)) == 2 * brute_girth(g)
+            assert len(shortest_cycle(sub.bipartite)) == 2 * brute_girth(g)
 
     def test_prism_girth_doubles(self):
         prism = sc.build_multigraph(
             6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
         )
         assert brute_girth(prism) == 3
-        assert len(sc.shortest_cycle(sc.subdivide(prism).bipartite)) == 6
+        assert len(shortest_cycle(sc.subdivide(prism).bipartite)) == 6
 
     def test_subcubic_always_validates(self):
         for name in ("k4", "petersen", "heawood", "double-edge", "tree", "star"):
@@ -254,22 +260,22 @@ class TestBipartiteGraph:
 
 class TestShortestCycle:
     def test_k23_length_four(self, k23):
-        desc = sc.shortest_cycle(k23)
+        desc = shortest_cycle(k23)
         assert len(desc) == 4
         # both degree-3 vertices carry a pendant; they coincide on K_{2,3}
         assert set(desc.pendant) == {3, 4}
 
     def test_k4_subdivision_length_six(self):
         sub = sc.subdivide(sc.build_multigraph(4, K4_PAIRS))
-        assert len(sc.shortest_cycle(sub.bipartite)) == 6
+        assert len(shortest_cycle(sub.bipartite)) == 6
 
     def test_tree_has_none(self):
         b = sc.infer_parts(sc.named("tree"))
-        assert sc.shortest_cycle(b) is None
+        assert shortest_cycle(b) is None
 
     def test_descriptor_structure(self):
         sub = sc.subdivide(sc.named("petersen"))
-        desc = sc.shortest_cycle(sub.bipartite)
+        desc = shortest_cycle(sub.bipartite)
         g = sub.bipartite.graph
         n = len(desc)
         assert n % 2 == 0
@@ -287,7 +293,7 @@ class TestShortestCycle:
             b = rand_b23(5, 4, seed)
             if b.graph.vertex_count > 12:
                 continue
-            desc = sc.shortest_cycle(b)
+            desc = shortest_cycle(b)
             expected = brute_girth(b.graph)
             if expected is None:
                 assert desc is None
@@ -296,22 +302,22 @@ class TestShortestCycle:
 
     def test_deterministic(self):
         sub = sc.subdivide(sc.named("heawood"))
-        d1 = sc.shortest_cycle(sub.bipartite)
-        d2 = sc.shortest_cycle(sub.bipartite)
+        d1 = shortest_cycle(sub.bipartite)
+        d2 = shortest_cycle(sub.bipartite)
         assert d1.vertices == d2.vertices and d1.edges == d2.edges
 
 
 class TestComponents:
     def test_edgeless(self):
-        assert sc.components(sc.build_multigraph(3, [])) == [[0], [1], [2]]
+        assert components(sc.build_multigraph(3, [])) == [[0], [1], [2]]
 
     def test_single_cycle(self):
         g = sc.build_multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert sc.components(g) == [[0, 1, 2, 3]]
+        assert components(g) == [[0, 1, 2, 3]]
 
     def test_cycle_plus_isolated(self):
         g = sc.build_multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert sc.components(g) == [[0, 1, 2, 3], [4]]
+        assert components(g) == [[0, 1, 2, 3], [4]]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +447,7 @@ class TestScanEquivalence:
             full = [True] * g.edge_count
             want = _reference_scan(b, full, [g.degree(v) for v in range(g.vertex_count)],
                                    range(g.vertex_count))
-            got = sc.shortest_cycle(b)
+            got = shortest_cycle(b)
             if want is None:
                 assert got is None
             else:
@@ -457,7 +463,7 @@ class TestScanEquivalence:
             b = disjoint_union(parts)
             residue = _random_residue(b, rng)
             # a component of b is a union of components of the residue
-            for comp in sc.components(b.graph):
+            for comp in components(b.graph):
                 _assert_scan_matches(residue, comp)
 
     def test_deep_girth_generalized_petersen(self):
@@ -493,7 +499,7 @@ class TestScanEquivalence:
             b = disjoint_union([sc.subdivide(_scan_corpus_graph(rng)).bipartite
                                 for _ in range(2 + rng.below(4))])
             residue = _random_residue(b, rng)
-            for comp in sc.components(b.graph):
+            for comp in components(b.graph):
                 _assert_scan_matches(residue, _permuted(comp, rng))
 
 
@@ -531,7 +537,7 @@ def _assert_carves(b):
     """Carve from each component's lowest vertex and check the cycle; returns the descents."""
     g = b.graph
     descents = 0
-    for comp in sc.components(g):
+    for comp in components(g):
         cyc, d = _carve_cycle(b, comp[0])
         descents += d
         n = len(cyc)

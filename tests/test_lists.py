@@ -87,6 +87,40 @@ class TestEdgeLists:
                 assert got[eid] == ()
 
 
+class TestSizeCheck:
+    """Both solvers count a list's distinct colors, not its entries."""
+
+    def test_repeated_colors_are_too_few(self):
+        g = sc.named("k4")
+        b = sc.subdivide(g).bipartite
+        strong = sc.uniform_lists(range(b.graph.edge_count), 6)
+        strong[5] = (1, 2, 3, 4, 5, 5)
+        with pytest.raises(sc.ListTooSmall) as err:
+            sc.color_strong_23(b, strong)
+        assert str(err.value) == "edge 5 has a list of 5 distinct colors, need 6"
+        doubled = dict.fromkeys(g.incidences(), (1, 1, 2, 2, 3, 3))
+        with pytest.raises(sc.ListTooSmall) as err:
+            sc.color_incidence(g, doubled)
+        assert str(err.value) == (
+            "incidence Incidence(vertex=0, edge=0) has a list of 3 distinct colors, need 6"
+        )
+
+    @pytest.mark.parametrize("shape", [tuple, list])
+    def test_six_distinct_colors_in_seven_entries_solve(self, shape):
+        # each list gets its own copy with its smallest color twice; lists
+        # are unhashable too, so every copy is counted
+        for g, inc_L in _cubic_corpus(8, 20, 5):
+            b = sc.subdivide(g).bipartite
+            L = dict(enumerate(inc_L.values()))
+            padded = {e: shape(lst + lst[:1]) for e, lst in L.items()}
+            pc, stats = sc.color_strong_23(b, L)
+            pc_p, stats_p = sc.color_strong_23(b, padded)
+            assert pc.assigned == pc_p.assigned and stats == stats_p
+            coloring, _ = sc.color_incidence(g, inc_L)
+            inc_padded = {inc: shape(lst + lst[:1]) for inc, lst in inc_L.items()}
+            assert sc.color_incidence(g, inc_padded)[0] == coloring
+
+
 def _cubic_corpus(palette: int, count: int, seed: int):
     """``count`` random cubic multigraphs of 4-42 vertices, each with 6-lists
     on its incidences drawn from ``palette`` colors."""

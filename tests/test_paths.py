@@ -16,6 +16,7 @@ from strongcolor import (
     PartialColoring,
     SolveStats,
 )
+from strongcolor.conflict import available
 from strongcolor.generate import SplitMix64
 from strongcolor.solver import _FIVE_SIZES, _odd_sizes
 
@@ -43,8 +44,8 @@ def check_five_path(lists):
     L = by_edge_id(lists)
     pc = PartialColoring(dict(out))
     assert sc.verify_strong(b, L, pc) == []
-    assert len(sc.available(vw, L, pc, b)) >= 3
-    assert len(sc.available(wx, L, pc, b)) >= 2
+    assert len(available(vw, L, pc, b)) >= 3
+    assert len(available(wx, L, pc, b)) >= 2
     return out
 
 
@@ -119,8 +120,8 @@ class TestPrecolorFivePath:
             sc.precolor_five_path(L, pc, cfg, b, SolveStats())
             assert sorted(pc.assigned) == [0, 3, 4, 7, 8, 9]
             assert sc.verify_strong(b, L, pc) == []
-            assert len(sc.available(1, L, pc, b)) >= 3
-            assert len(sc.available(2, L, pc, b)) >= 2
+            assert len(available(1, L, pc, b)) >= 3
+            assert len(available(2, L, pc, b)) >= 2
 
 
 def run_odd_path(n, lists):

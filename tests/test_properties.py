@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strongcolor as sc
-from strongcolor import ListAssignment, PartialColoring, PeelState, solver
+from strongcolor import ListAssignment, PartialColoring, solver
+from strongcolor.conflict import available, build_conflict_graph
 from strongcolor.generate import SplitMix64
+from strongcolor.graph import components
+from strongcolor.matching import rainbow_sdr
+from strongcolor.solver import PeelState, peel
 
 from conftest import rand_b23
 from test_golden import _generalized_petersen
@@ -41,7 +45,7 @@ def test_subdivision_of_subcubic_validates(seed, n, tries):
 @given(seeds, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=9))
 def test_conflict_symmetry_and_bound(seed, na, nb):
     b = rand_b23(na, nb, seed)
-    cg = sc.build_conflict_graph(b)
+    cg = build_conflict_graph(b)
     for e in range(b.graph.edge_count):
         assert len(cg[e]) <= 7
         assert e not in cg[e]
@@ -63,15 +67,15 @@ def test_rainbow_merge_is_always_valid(seed, na):
     pc = PartialColoring()
     precolored = [e for e in range(m) if rng.below(2) == 0]
     for e in precolored:
-        avail = sc.available(e, L, pc, b)
+        avail = available(e, L, pc, b)
         if avail:
-            pc.set(e, min(avail))
+            pc.assigned[e] = min(avail)
     rest = [e for e in range(m) if e not in pc.assigned]
-    chosen = sc.rainbow_sdr(rest, {e: sc.available(e, L, pc, b) for e in rest})
+    chosen = rainbow_sdr(rest, {e: available(e, L, pc, b) for e in rest})
     if chosen is None:
         return
     for e, c in chosen.items():
-        pc.set(e, c)
+        pc.assigned[e] = c
     assert sc.verify_strong(b, L, pc, require_total=True) == []
 
 
@@ -90,7 +94,7 @@ def test_solver_end_to_end(seed, na, nb):
 
 
 def _peel_to_the_end(b, state) -> None:
-    for _ in sc.peel(b, state):
+    for _ in peel(b, state):
         pass
 
 
@@ -113,7 +117,7 @@ def test_one_removed_edge_peels_its_biregular_component(seed, n, petersen):
     removed = rng.below(b.graph.edge_count)
     solver._remove_edge(b, state, removed)
     _peel_to_the_end(b, state)
-    hit = next(set(c) for c in sc.components(b.graph) if b.graph.edges[removed][0] in c)
+    hit = next(set(c) for c in components(b.graph) if b.graph.edges[removed][0] in c)
     for e, (u, _) in enumerate(b.graph.edges):
         assert state.alive[e] == (u not in hit)
 
@@ -125,7 +129,7 @@ def test_a_component_below_full_degree_peels_without_a_removal(seed, na, nb):
     state = PeelState.for_graph(b)
     _peel_to_the_end(b, state)
     g = b.graph
-    for comp in sc.components(g):
+    for comp in components(g):
         biregular = all(_full_degree(b, v) for v in comp)
         for v in comp:
             assert all(state.alive[e] == biregular for e in g.inc[v])

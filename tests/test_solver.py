@@ -6,9 +6,18 @@ from heapq import heapify, heappop, heappush
 import pytest
 
 import strongcolor as sc
-from strongcolor import ListAssignment, PartialColoring, PeelState, SolveStats, oracle, solver
+from strongcolor import ListAssignment, PartialColoring, SolveStats, oracle, solver
+from strongcolor.conflict import available
 from strongcolor.generate import SplitMix64, disjoint_union
-from strongcolor.graph import components
+from strongcolor.graph import CycleDescriptor, components, shortest_cycle
+from strongcolor.solver import (
+    PeelState,
+    extend_c4,
+    extend_c6,
+    extend_long_cycle,
+    greedy_unwind,
+    peel,
+)
 
 from conftest import (
     assert_valid_strong,
@@ -56,14 +65,14 @@ def _ref_peel_step(b, alive, deg, heap, stack):
 def _ref_greedy_unwind(stack, L, pc, b, stats):
     while stack:
         item = stack.pop()
-        if isinstance(item, sc.CycleDescriptor):
-            extend = {4: sc.extend_c4, 6: sc.extend_c6}.get(len(item), sc.extend_long_cycle)
+        if isinstance(item, CycleDescriptor):
+            extend = {4: extend_c4, 6: extend_c6}.get(len(item), extend_long_cycle)
             extend(L, pc, item, b, stats)
             continue
-        avail = sc.available(item, L, pc, b)
+        avail = available(item, L, pc, b)
         if not avail:
             raise sc.InternalInvariant(f"peeled edge {item} has no available color at unwind")
-        pc.set(item, min(avail))
+        pc.assigned[item] = min(avail)
     return pc
 
 
@@ -175,7 +184,7 @@ class TestPeelUnwindEquivalence:
                 assert live_pc.assigned == pc.assigned
                 assert live_stats == stats
                 # every carved cycle lies below every peeled edge
-                carved = [isinstance(x, sc.CycleDescriptor) for x in stack]
+                carved = [isinstance(x, CycleDescriptor) for x in stack]
                 assert carved == sorted(carved, reverse=True)
                 descriptors += sum(carved)
                 peeled += stats.peeled_edges
@@ -186,19 +195,19 @@ class TestPeelStep:
     def test_path_peels_completely(self):
         b = sc.infer_parts(sc.named("p5"))
         state = PeelState.for_graph(b)
-        peeled = list(sc.peel(b, state))
+        peeled = list(peel(b, state))
         assert sorted(peeled) == list(range(4))
         assert not any(state.alive)
 
     def test_even_cycle_peels_completely(self):
         b = sc.infer_parts(sc.named("c8"))
         state = PeelState.for_graph(b)
-        assert sum(1 for _ in sc.peel(b, state)) == 8
+        assert sum(1 for _ in peel(b, state)) == 8
 
     def test_biregular_core_returns_none(self):
         b = sc.subdivide(sc.named("k4")).bipartite
         state = PeelState.for_graph(b)
-        assert list(sc.peel(b, state)) == []
+        assert list(peel(b, state)) == []
 
     def test_cap_by_part(self):
         b = sc.infer_parts(sc.named("p5"))
@@ -210,24 +219,24 @@ class TestGreedyUnwind:
     def test_path_smallest_colors(self):
         b = sc.infer_parts(sc.named("p5"))
         L = sc.uniform_lists(range(4), 6)
-        peeled = list(sc.peel(b, PeelState.for_graph(b)))
-        pc = sc.greedy_unwind(peeled, [], L, b, SolveStats())
+        peeled = list(peel(b, PeelState.for_graph(b)))
+        pc = greedy_unwind(peeled, [], L, b, SolveStats())
         assert_valid_strong(b, L, pc)
         assert min(pc.assigned.values()) == 1
 
     def test_subdivided_star(self):
         b = sc.subdivide(sc.named("star")).bipartite
         L = sc.uniform_lists(range(b.graph.edge_count), 6)
-        peeled = list(sc.peel(b, PeelState.for_graph(b)))
-        pc = sc.greedy_unwind(peeled, [], L, b, SolveStats())
+        peeled = list(peel(b, PeelState.for_graph(b)))
+        pc = greedy_unwind(peeled, [], L, b, SolveStats())
         assert_valid_strong(b, L, pc)
 
     def test_exhausted_list_raises(self):
         b = sc.infer_parts(sc.named("p5"))
-        peeled = list(sc.peel(b, PeelState.for_graph(b)))
+        peeled = list(peel(b, PeelState.for_graph(b)))
         L = dict.fromkeys(range(4), frozenset({1}))
         with pytest.raises(sc.InternalInvariant, match="has no available color at unwind"):
-            sc.greedy_unwind(peeled, [], L, b, SolveStats())
+            greedy_unwind(peeled, [], L, b, SolveStats())
 
     def test_a_rule_edges_keep_two_colors(self):
         # an edge deferred at an A-endpoint of degree <= 1 has at most 4
@@ -240,7 +249,7 @@ class TestGreedyUnwind:
                 continue
             L = sc.uniform_lists(range(m), 6)
             state = PeelState.for_graph(b)
-            it = sc.peel(b, state)
+            it = peel(b, state)
             peeled = []
             rules = {}
             while True:
@@ -257,12 +266,12 @@ class TestGreedyUnwind:
                 rules[e] = b.part_of[min(qualifying)]
             pc = PartialColoring()
             for e in reversed(peeled):
-                avail = sc.available(e, L, pc, b)
+                avail = available(e, L, pc, b)
                 if rules[e] == "A":
                     assert len(avail) >= 2
                 else:
                     assert len(avail) >= 1
-                pc.set(e, min(avail))
+                pc.assigned[e] = min(avail)
             assert_valid_strong(b, L, pc, total=(len(pc.assigned) == m))
 
 
@@ -305,7 +314,7 @@ def _c6_lists(b, by_role):
 class TestExtendC4:
     def setup_method(self):
         self.b = c4_gadget()
-        self.cycle = sc.shortest_cycle(self.b)
+        self.cycle = shortest_cycle(self.b)
         # gadget edge ids: cycle edges 0..3, pendant edges 4 (at v=1), 5 (at x=3)
         self.pend = sorted(eid for _, eid in self.cycle.pendant.values())
         self.cyc = list(self.cycle.edges)
@@ -313,7 +322,7 @@ class TestExtendC4:
     def run(self, L):
         pc = PartialColoring()
         stats = SolveStats()
-        sc.extend_c4(L, pc, self.cycle, self.b, stats)
+        extend_c4(L, pc, self.cycle, self.b, stats)
         assert_valid_strong(self.b, L, pc)
         assert len(pc.assigned) == 6
         return pc, stats
@@ -344,11 +353,11 @@ class TestExtendC4:
 
 class TestExtendC4Coincident:
     def test_k23_component_rainbow(self, k23):
-        cycle = sc.shortest_cycle(k23)
+        cycle = shortest_cycle(k23)
         L = sc.uniform_lists(range(6), 6)
         pc = PartialColoring()
         stats = SolveStats()
-        sc.extend_c4(L, pc, cycle, k23, stats)
+        extend_c4(L, pc, cycle, k23, stats)
         assert_valid_strong(k23, L, pc, total=True)
         assert sorted(pc.assigned.values()) == [1, 2, 3, 4, 5, 6]
         assert stats.k23_base_cases == 1 and stats.c4_extensions == 0
@@ -357,13 +366,13 @@ class TestExtendC4Coincident:
 class TestExtendC6:
     def setup_method(self):
         self.b = c6_gadget()
-        self.cycle = sc.shortest_cycle(self.b)
+        self.cycle = shortest_cycle(self.b)
 
     def run(self, by_role):
         L = _c6_lists(self.b, by_role)
         pc = PartialColoring()
         stats = SolveStats()
-        sc.extend_c6(L, pc, self.cycle, self.b, stats)
+        extend_c6(L, pc, self.cycle, self.b, stats)
         assert_valid_strong(self.b, L, pc)
         assert len(pc.assigned) == 9
         assert stats.c6_extensions == 1
@@ -446,7 +455,7 @@ class TestExtendLongCycle:
     @pytest.mark.parametrize("n", [8, 10, 12, 16])
     def test_exact_entry_sizes(self, n):
         b = cycle_gadget(n)
-        cycle = sc.shortest_cycle(b)
+        cycle = shortest_cycle(b)
         sizes = {e: 5 for e in cycle.edges}
         for _, eid in cycle.pendant.values():
             sizes[eid] = 3
@@ -456,15 +465,15 @@ class TestExtendLongCycle:
             L = ListAssignment({e: frozenset(rng.subset(k, palette)) for e, k in sizes.items()})
             pc = PartialColoring()
             stats = SolveStats()
-            sc.extend_long_cycle(L, pc, cycle, b, stats)
+            extend_long_cycle(L, pc, cycle, b, stats)
             assert_valid_strong(b, L, pc, total=True)
 
     def test_rejects_short_cycle(self):
         b = c6_gadget()
-        cycle = sc.shortest_cycle(b)
+        cycle = shortest_cycle(b)
         L = sc.uniform_lists(range(9), 6)
         with pytest.raises(sc.InternalInvariant):
-            sc.extend_long_cycle(L, PartialColoring(), cycle, b, SolveStats())
+            extend_long_cycle(L, PartialColoring(), cycle, b, SolveStats())
 
 
 class TestColorStrong23:
