@@ -15,6 +15,7 @@ from .conflict import (
     verify_strong,
 )
 from .errors import (
+    BadColor,
     BadEdgeId,
     BadSize,
     BadVertexId,

@@ -19,8 +19,9 @@ from .graph import BipartiteGraph, Incidence, Multigraph
 
 # A list assignment L maps each edge id (or incidence) to its color list
 # L(e), a collection of distinct non-negative integers.  The builders give
-# ascending tuples, one object per distinct list; readers use only len, in,
-# iteration, set() and sorted(), so frozensets work as well.
+# ascending tuples, one object per distinct list.  The solvers check and sort
+# each distinct list once at the door, and the verifiers use only ``in``, so
+# frozensets work as well.
 ListAssignment = dict
 
 

@@ -39,6 +39,10 @@ class ListTooSmall(InputError):
     """A color list below the required size."""
 
 
+class BadColor(InputError):
+    """A color that is not a non-negative integer (bools are not colors)."""
+
+
 class BadSize(InputError):
     """A size parameter outside its allowed range."""
 

@@ -64,16 +64,10 @@ has at most 4 conflicts in the residue at peel time, one peeled at a
 B-endpoint of degree <= 2 at most 5, both below the list size 6, so the
 greedy unwind never runs out of colors.
 
-The greedy phase reads colors from per-vertex bit masks over the ranked
-palette of the peeled edges' lists; ``greedy_unwind`` shows why that is
-exact.  A mask operation costs O(P / 30) machine words for P ranked
-colors, and a vertex's mask can be P bits wide, so the masks suit narrow
-palettes.  Measured on subdivided ``random_cubic(n, 7)`` against a
-two-hop walk over the conflicting edges: with random 6-lists the masks
-are faster below P = 1024 and about even at P = 1024; at P = 16384 they
-are still faster at n = 2000 but slower at n = 20000; pairwise-disjoint
-lists (P = 6m) make the unwind several times slower and its masks take
-O(n P) bits.
+The greedy phase costs the same for any palette: a peeled edge sees the
+colored edges at no more than 5 vertices, each holding at most 3 colors,
+so it scans its ascending list against at most 15 colors
+(``greedy_unwind``).
 
 At entry to every extension and path procedure the available lists are
 truncated (smallest colors kept) to the exact sizes the counting steps
@@ -95,7 +89,7 @@ from .conflict import (
     uniform_lists,
     verify_strong,
 )
-from .errors import DegreeTooHigh, InternalInvariant, ListTooSmall
+from .errors import BadColor, DegreeTooHigh, InternalInvariant, ListTooSmall
 from .graph import (
     PART_A,
     BipartiteGraph,
@@ -206,17 +200,14 @@ def greedy_unwind(
 
     A peeled edge takes its smallest available color: sound because every
     peeled edge had at most 5 conflicts in the residual subgraph it was
-    peeled from, and only those edges are colored when it is reached.  The
-    colors are read from per-vertex masks.  The P colors of the peeled
-    edges' lists are ranked in ascending order, and bit i of ``at[v]`` is
-    set when an edge at v holds the color of rank i.  An edge f conflicts
-    with e = xy exactly when f != e has an endpoint in N(x) | N(y): some
-    edge g meets both, and g is xw or yw for a neighbour w.  y is in N(x)
-    and x is in N(y), so the colored conflicts of the uncolored e are
-    exactly the colored edges at the at most 5 vertices of N(x) | N(y).
-    e takes the lowest-ranked color of its list whose bit is clear in the
-    OR of their masks.  A mask operation costs O(P / 30) machine words,
-    and ``at`` holds up to P bits per vertex.
+    peeled from, and only those edges are colored when it is reached.  An
+    edge f conflicts with e = xy exactly when f != e has an endpoint in
+    N(x) | N(y): some edge g meets both, and g is xw or yw for a neighbour
+    w.  y is in N(x) and x is in N(y), so the colored conflicts of the
+    uncolored e are exactly the colored edges at the at most 5 vertices of
+    N(x) | N(y), and ``near[v]`` holds the colors at N(v).  The lists are
+    ascending (``color_strong_23`` sorts them at the door), so the first
+    color of L[e] outside ``blocked`` is the smallest available one.
 
     A carved cycle then goes to the extension for its length, which reads
     the coloring through ``available``.
@@ -224,28 +215,20 @@ def greedy_unwind(
     pc = PartialColoring()
     assigned = pc.assigned
     nbrs, edges = b.graph.nbrs, b.graph.edges
-    palette = sorted(set().union(*map(L.__getitem__, peeled)))
-    size = len(palette)  # above every rank
-    rank = {c: i for i, c in enumerate(palette)}
-    at = [0] * b.graph.vertex_count
+    near = [[] for _ in range(b.graph.vertex_count)]
     for e in reversed(peeled):
         x, y = edges[e]
-        blocked = 0
-        for w in nbrs[x]:
-            blocked |= at[w]
-        for w in nbrs[y]:
-            blocked |= at[w]
-        top = size  # the lowest free rank in L[e] so far
+        blocked = near[x] + near[y]
         for c in L[e]:
-            r = rank[c]
-            if r < top and not blocked >> r & 1:
-                top = r
-        if top == size:
+            if c not in blocked:
+                break
+        else:
             raise InternalInvariant(f"peeled edge {e} has no available color at unwind")
-        low = 1 << top
-        at[x] |= low
-        at[y] |= low
-        assigned[e] = palette[top]
+        assigned[e] = c
+        for w in nbrs[x]:
+            near[w].append(c)
+        for w in nbrs[y]:
+            near[w].append(c)
     for cycle in reversed(carved):
         extend = {4: extend_c4, 6: extend_c6}.get(len(cycle), extend_long_cycle)
         extend(L, pc, cycle, b, stats)
@@ -710,20 +693,31 @@ def extend_long_cycle(
 # the full solver
 
 
-def _check_list_sizes(what: str, keys: Iterable, lists: Sequence) -> None:
-    """Raise ListTooSmall naming the first key whose list has fewer than 6
-    distinct colors.  Equal lists count alike, so ``set`` finds the distinct
-    lists in C and each is counted once; unhashable lists are counted one
-    by one."""
-    try:
-        distinct = set(lists)
-    except TypeError:
-        distinct = lists
-    if any(len(set(lst)) < 6 for lst in distinct):
+def _ascending_lists(what: str, keys: Iterable, lists: Sequence) -> list:
+    """Each list as an ascending tuple of its distinct colors, in key order.
+
+    Each distinct list object is checked and sorted once.  Lists are told
+    apart by identity, not equality, because ``(True, 2, ...)`` equals
+    ``(1, 2, ...)``.  The first key whose list holds a color that is not an
+    int >= 0 raises BadColor, and the first with fewer than 6 distinct
+    colors raises ListTooSmall.
+    """
+    distinct = dict(zip(map(id, lists), lists))
+    ascending = {}
+    for i, lst in distinct.items():
+        if set(map(type, lst)) <= {int}:
+            colors = tuple(sorted(set(lst)))
+            if len(colors) >= 6 and colors[0] >= 0:
+                ascending[i] = colors
+    if len(ascending) < len(distinct):
         for key, lst in zip(keys, lists):
-            size = len(set(lst))
-            if size < 6:
+            if id(lst) not in ascending:
+                for c in lst:
+                    if type(c) is not int or c < 0:
+                        raise BadColor(f"{what} {key} has {c!r} in its list, need ints >= 0")
+                size = len(set(lst))
                 raise ListTooSmall(f"{what} {key} has a list of {size} distinct colors, need 6")
+    return list(map(ascending.__getitem__, map(id, lists)))
 
 
 def color_strong_23(
@@ -740,7 +734,7 @@ def color_strong_23(
     b.validate_23()
     g = b.graph
     m = g.edge_count
-    _check_list_sizes("edge", range(m), list(map(L.get, range(m), repeat(()))))
+    lists = _ascending_lists("edge", range(m), list(map(L.get, range(m), repeat(()))))
     stats = SolveStats()
     state = PeelState.for_graph(b)
     deg = state.deg
@@ -762,7 +756,7 @@ def color_strong_23(
     if any(deg):
         raise InternalInvariant(f"{sum(deg) // 2} edges are left after peeling")
     stats.peeled_edges = len(peeled)
-    pc = greedy_unwind(peeled, carved, L, b, stats)
+    pc = greedy_unwind(peeled, carved, lists, b, stats)
     bad = verify_strong(b, L, pc, require_total=True)
     if bad:
         raise InternalInvariant(f"solver produced an invalid coloring: {bad[:3]}")
@@ -787,10 +781,14 @@ def color_incidence(
     sub = subdivide(g)
     lists = sub.edge_lists(L)
     incs = list(g.incidences())  # incs[i] is edge i of the subdivision
-    _check_list_sizes("incidence", incs, list(lists.values()))
     # color_strong_23 verifies its result, and incidence adjacency is strong
     # adjacency in the subdivision, so the transported coloring needs no
     # second check
-    pc, stats = color_strong_23(sub.bipartite, lists)
+    try:
+        pc, stats = color_strong_23(sub.bipartite, lists)
+    except (BadColor, ListTooSmall):
+        # only its door raises these here: check again to name the incidence
+        _ascending_lists("incidence", incs, list(lists.values()))
+        raise
     coloring = {inc: pc.assigned[eid] for eid, inc in enumerate(incs)}
     return coloring, stats

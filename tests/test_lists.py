@@ -7,7 +7,7 @@ import json
 import pytest
 
 import strongcolor as sc
-from strongcolor import fileio
+from strongcolor import fileio, solver
 from strongcolor.generate import SplitMix64
 from strongcolor.graph import Incidence
 
@@ -107,8 +107,8 @@ class TestSizeCheck:
 
     @pytest.mark.parametrize("shape", [tuple, list])
     def test_six_distinct_colors_in_seven_entries_solve(self, shape):
-        # each list gets its own copy with its smallest color twice; lists
-        # are unhashable too, so every copy is counted
+        # each list gets its own copy with its smallest color twice, so
+        # every copy is counted; lists are unhashable too
         for g, inc_L in _cubic_corpus(8, 20, 5):
             b = sc.subdivide(g).bipartite
             L = dict(enumerate(inc_L.values()))
@@ -119,6 +119,74 @@ class TestSizeCheck:
             coloring, _ = sc.color_incidence(g, inc_L)
             inc_padded = {inc: shape(lst + lst[:1]) for inc, lst in inc_L.items()}
             assert sc.color_incidence(g, inc_padded)[0] == coloring
+
+
+    def test_incidence_lists_are_checked_once(self, monkeypatch):
+        calls = []
+        door = solver._ascending_lists
+
+        def counted(what, keys, lists):
+            calls.append(what)
+            return door(what, keys, lists)
+
+        monkeypatch.setattr(solver, "_ascending_lists", counted)
+        g = sc.named("petersen")
+        sc.color_incidence(g, sc.uniform_incidence_lists(g, 6))
+        assert calls == ["edge"]
+
+
+class TestColorCheck:
+    """Both solvers take only ints >= 0 as colors, and name the first key
+    whose list holds anything else."""
+
+    SIX = (1, 2, 3, 4, 5, 6)
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [
+            ((1, 2, 3, 4, 5, "x"), "'x'"),
+            ((True, 2, 3, 4, 5, 6), "True"),
+            ((1, 2, 3, 4, 5, 6, False), "False"),
+            ((-1, 2, 3, 4, 5, 6), "-1"),
+            ((1.0, 2, 3, 4, 5, 6), "1.0"),
+            ((1, 2, 3, 4, 5, 6, None), "None"),
+            ([[1], 2, 3, 4, 5, 6], "[1]"),
+        ],
+    )
+    def test_strong_and_incidence(self, bad, shown):
+        g = sc.named("k4")
+        b = sc.subdivide(g).bipartite
+        strong = sc.uniform_lists(range(b.graph.edge_count), 6)
+        strong[3] = strong[7] = bad
+        with pytest.raises(sc.BadColor) as err:
+            sc.color_strong_23(b, strong)
+        assert str(err.value) == f"edge 3 has {shown} in its list, need ints >= 0"
+        lists = sc.uniform_incidence_lists(g, 6)
+        inc = list(lists)[3]
+        lists[inc] = bad
+        with pytest.raises(sc.BadColor) as err:
+            sc.color_incidence(g, lists)
+        assert str(err.value) == f"incidence {inc} has {shown} in its list, need ints >= 0"
+
+    def test_a_bool_list_equal_to_an_int_list_is_rejected(self):
+        # (True, 2, ...) == (1, 2, ...), so equality alone would merge them
+        b = sc.subdivide(sc.named("k4")).bipartite
+        L = dict.fromkeys(range(b.graph.edge_count), self.SIX)
+        L[4] = (True,) + self.SIX[1:]
+        assert L[4] == self.SIX
+        with pytest.raises(sc.BadColor, match="^edge 4 has True in its list"):
+            sc.color_strong_23(b, L)
+
+    def test_the_first_bad_key_is_named(self):
+        b = sc.subdivide(sc.named("k4")).bipartite
+        L = dict.fromkeys(range(b.graph.edge_count), self.SIX)
+        L[2] = (1, 2, 3)
+        L[5] = (1, 2, 3, 4, 5, -6)
+        with pytest.raises(sc.ListTooSmall, match="^edge 2 "):
+            sc.color_strong_23(b, L)
+        L[1] = L[5]
+        with pytest.raises(sc.BadColor, match="^edge 1 has -6 "):
+            sc.color_strong_23(b, L)
 
 
 def _cubic_corpus(palette: int, count: int, seed: int):

@@ -29,7 +29,7 @@ PUBLIC = {
     "SplitMix64", "random_cubic", "random_23_bipartite", "random_lists",
     "generalized_petersen", "disjoint_union", "named", "fixture_names",
     # errors
-    "InputError", "BadEdgeId", "BadSize", "BadVertexId", "DegreeTooHigh", "FormatError",
+    "InputError", "BadColor", "BadEdgeId", "BadSize", "BadVertexId", "DegreeTooHigh", "FormatError",
     "ListTooSmall", "LoopEdge", "NotBipartite", "NotTwoThree", "UnknownName",
     "Infeasible", "BudgetExceeded", "InternalInvariant",
 }
@@ -48,7 +48,7 @@ def test_the_root_exports_exactly_the_supported_names():
         for name, value in vars(strongcolor).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert len(PUBLIC) == 49
+    assert len(PUBLIC) == 50
     assert exported == PUBLIC
 
 

@@ -24,6 +24,7 @@ from conftest import (
     c4_gadget,
     c6_gadget,
     cycle_gadget,
+    peak,
     rand_b23,
 )
 from test_golden import _generalized_petersen
@@ -136,12 +137,13 @@ class TestPeelUnwindEquivalence:
 
     @staticmethod
     def lists(m, rng, family):
-        """Lists for m edges from one of four families.
+        """Lists for m edges from one of five families.
 
         0: 6 to 8 colors from a palette of 8 to 12, drawn per edge;
         1: 6 to 8 sparse colors, among them 0 and values of 2**64 and more;
         2: 6 to 12 colors from a palette of 12 to 16;
-        3: one shared 1024-color frozenset on every edge.
+        3: one shared 1024-color frozenset on every edge;
+        4: pairwise-disjoint 6-lists of sparse colors, one frozenset per edge.
         """
         if family == 0:
             palette = 8 + rng.below(5)
@@ -155,8 +157,11 @@ class TestPeelUnwindEquivalence:
         if family == 2:
             palette = 12 + rng.below(5)
             return {e: frozenset(rng.subset(6 + rng.below(7), palette)) for e in range(m)}
-        shared = frozenset(range(1, 1025))
-        return dict.fromkeys(range(m), shared)
+        if family == 3:
+            shared = frozenset(range(1, 1025))
+            return dict.fromkeys(range(m), shared)
+        step = 6 + rng.below(2**40)
+        return {e: frozenset(step * (6 * e + i) for i in range(6)) for e in range(m)}
 
     def test_same_stack_coloring_and_stats(self, monkeypatch):
         unwound = []
@@ -169,13 +174,14 @@ class TestPeelUnwindEquivalence:
         monkeypatch.setattr(solver, "greedy_unwind", recorded)
         rng = SplitMix64(20261018)
         descriptors = peeled = 0
-        for i in range(200):
+        # the fifth family comes after the first 200 draws, which it leaves as they were
+        for i in range(240):
             kind = i % 4
             if kind < 3:
                 b = self.piece(rng, kind)
             else:
                 b = disjoint_union([self.piece(rng, rng.below(3)) for _ in range(2 + rng.below(3))])
-            L = self.lists(b.graph.edge_count, rng, i // 4 % 4)
+            L = self.lists(b.graph.edge_count, rng, i // 4 % 4 if i < 200 else 4)
             for b, L in ((b, L), _relabel(b, L, rng)):
                 stack, pc, stats = _ref_solve(b, L)
                 unwound.clear()
@@ -237,6 +243,18 @@ class TestGreedyUnwind:
         L = dict.fromkeys(range(4), frozenset({1}))
         with pytest.raises(sc.InternalInvariant, match="has no available color at unwind"):
             greedy_unwind(peeled, [], L, b, SolveStats())
+
+    def test_wide_palette_costs_no_more_memory(self):
+        # a greedy phase whose state grew with the palette would peak far
+        # higher on pairwise-disjoint lists than on one uniform list
+        b = sc.subdivide(sc.random_cubic(2000, 7)).bipartite
+        m = b.graph.edge_count
+        uniform = sc.uniform_lists(range(m), 6)
+        disjoint = {e: tuple(range(6 * e, 6 * e + 6)) for e in range(m)}
+        narrow, _ = peak(lambda: sc.color_strong_23(b, uniform))
+        wide, (pc_wide, _) = peak(lambda: sc.color_strong_23(b, disjoint))
+        assert_valid_strong(b, disjoint, pc_wide)
+        assert wide <= 2 * narrow, (wide, narrow)
 
     def test_a_rule_edges_keep_two_colors(self):
         # an edge deferred at an A-endpoint of degree <= 1 has at most 4
